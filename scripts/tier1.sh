@@ -8,6 +8,13 @@ cmake -B build -S . "$@"
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# Release build in its own tree: -O3 without debug info inlines more and
+# raises warnings (e.g. -Wrestrict) the RelWithDebInfo build never sees,
+# and -Werror makes any of them fatal.
+cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-rel -j
+(cd build-rel && ctest --output-on-failure -j)
+
 # Sharded-sweep round-trip: N local shard subprocesses merged must be
 # byte-identical to the single-process sweep.
 scripts/shard_roundtrip.sh
@@ -37,15 +44,14 @@ for pol in random irs; do
 done
 
 # Engine deep-queue bench smoke: every EventQueue backend variant (binary,
-# quad, wheel x tight/timer shapes, batching off/on) must run clean. The
-# old-vs-new ratios the perf trajectory tracks are recorded in
-# BENCH_sweep.json as deepqueue_speedup_vs_binary and
-# dispatch_batch_speedup by bench/bench_report, which gates on both.
+# quad, wheel x tight/timer shapes) must run clean. The old-vs-new ratio
+# the perf trajectory tracks is recorded in BENCH_sweep.json as
+# deepqueue_speedup_vs_binary by bench/bench_report, which gates on it.
 ./build/bench/micro_benchmarks --benchmark_filter=BM_EngineDeepQueue \
     --benchmark_min_time=0.05
 
-# Gate check: bench_report fails (exit 1) if dispatch_batch_speedup < 1.3
-# or deepqueue_speedup_vs_binary < 0.9, or any determinism/overhead gate
+# Gate check: bench_report fails (exit 1) if deepqueue_speedup_vs_binary
+# < 0.9, or any determinism/overhead gate
 # trips (including the SLO recording-overhead, histogram-memory,
 # cross-shard fold-identity, and open-loop front-end per-request overhead
 # gates). IRS_BENCH_FAST keeps the sweep portion smoke-sized.

@@ -54,7 +54,7 @@ struct ClusterConfig {
   /// draw independent streams.
   std::uint64_t seed = 1;
   obs::TelemetryConfig telemetry;
-  sim::QueueKind queue = sim::default_queue_kind();
+  sim::QueueKind queue = sim::QueueKind::kHybridWheel;
 
   Policy policy = Policy::kIrs;
   /// Collector sampling cadence (per host).

@@ -33,10 +33,9 @@ struct WorldConfig : obs::TelemetryConfig {
   Strategy strategy = Strategy::kBaseline;
   /// Base seed for all randomness in the simulation (fully deterministic).
   std::uint64_t seed = 1;
-  /// Event-queue backend for the engine. Defaults to the process-wide
-  /// default (IRS_ENGINE_QUEUE or the hybrid wheel); tests override it to
-  /// prove results are backend-independent within one process.
-  sim::QueueKind queue = sim::default_queue_kind();
+  /// Event-queue backend for the engine. Defaults to the hybrid wheel;
+  /// tests override it to prove results are backend-independent.
+  sim::QueueKind queue = sim::QueueKind::kHybridWheel;
 };
 
 class World {

@@ -93,9 +93,9 @@ struct ScenarioConfig : obs::TelemetryConfig {
   int fe_queue_cap = 0;
   bool fe_keepalive = true;
 
-  /// Event-queue backend override (see WorldConfig::queue); defaults to
-  /// the process-wide default. Results must be backend-independent.
-  sim::QueueKind queue = sim::default_queue_kind();
+  /// Event-queue backend (see WorldConfig::queue); defaults to the hybrid
+  /// wheel. Results must be backend-independent.
+  sim::QueueKind queue = sim::QueueKind::kHybridWheel;
 
   /// Guest kernel tunables for the foreground VM (ablation knobs; the IRS
   /// enable flag is controlled by `strategy`, not here).

@@ -22,7 +22,6 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::kPleExit: return "hv.ple";
     case TraceKind::kCoStop: return "hv.co-stop";
     case TraceKind::kEngineStop: return "engine.stop";
-    case TraceKind::kQueueGeometry: return "engine.geometry";
     case TraceKind::kReqBegin: return "req.begin";
     case TraceKind::kReqEnd: return "req.end";
     case TraceKind::kUser: return "user";

@@ -310,6 +310,14 @@ std::vector<exp::ScenarioConfig> battery_cells(sim::QueueKind queue,
   return cfgs;
 }
 
+TEST(ClusterDeterminism, EveryConfigLayerDefaultsToTheWheelBackend) {
+  // The figure path never names a backend, so these defaults are what
+  // every published run dispatches through.
+  EXPECT_EQ(core::WorldConfig{}.queue, sim::QueueKind::kHybridWheel);
+  EXPECT_EQ(cluster::ClusterConfig{}.queue, sim::QueueKind::kHybridWheel);
+  EXPECT_EQ(exp::ScenarioConfig{}.queue, sim::QueueKind::kHybridWheel);
+}
+
 TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
   const auto ref =
       exp::run_sweep(battery_cells(sim::QueueKind::kBinaryHeap, 1),
@@ -342,7 +350,7 @@ TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
 
 TEST(ClusterDeterminism, TwoShardNdjsonFoldsBitIdenticallyInEitherOrder) {
   const auto cfgs =
-      battery_cells(sim::default_queue_kind(), /*trace_batch=*/64);
+      battery_cells(sim::QueueKind::kHybridWheel, /*trace_batch=*/64);
   const auto runs = exp::run_sweep(cfgs, /*n_threads=*/2);
   ASSERT_EQ(runs.size(), 2u);
 

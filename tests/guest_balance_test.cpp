@@ -130,7 +130,7 @@ TEST(Balance, MigrationRebasesVruntime) {
   auto& wl = w.attach(vm, std::make_unique<TestWorkload>(
                               "t", [](guest::GuestKernel& k, TestWorkload& tw) {
                                 for (int i = 0; i < 4; ++i) {
-                                  tw.add_task(k, "h" + std::to_string(i),
+                                  tw.add_task(k, test::numbered("h", i),
                                               test::hog_behavior(), 0);
                                 }
                               }));

@@ -48,7 +48,7 @@ struct IrsWorld {
 TestWorkload::Setup one_hog_per_cpu(int n = 4) {
   return [n](guest::GuestKernel& k, TestWorkload& tw) {
     for (int i = 0; i < n; ++i) {
-      tw.add_task(k, "w" + std::to_string(i), test::hog_behavior(),
+      tw.add_task(k, test::numbered("w", i), test::hog_behavior(),
                   i % k.n_cpus());
     }
   };

@@ -257,7 +257,7 @@ TEST(GuestSched, VruntimeFairnessWithThreeTasks) {
       vm, std::make_unique<TestWorkload>(
               "t", [](guest::GuestKernel& k, TestWorkload& tw) {
                 for (int i = 0; i < 3; ++i) {
-                  tw.add_task(k, "h" + std::to_string(i), test::hog_behavior(),
+                  tw.add_task(k, test::numbered("h", i), test::hog_behavior(),
                               0);
                 }
               }));

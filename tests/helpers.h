@@ -85,6 +85,15 @@ inline std::unique_ptr<guest::Behavior> hog_behavior(
       std::vector<guest::Action>{guest::Action::compute(burst)}, true);
 }
 
+/// `prefix` followed by `i`, e.g. numbered("h", 2) == "h2". Appends to a
+/// std::string instead of writing `"h" + std::to_string(i)`: that form
+/// trips a GCC 12 -Wrestrict false positive in Release builds.
+inline std::string numbered(const char* prefix, int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
+
 /// A single finite compute behaviour.
 inline std::unique_ptr<guest::Behavior> compute_behavior(sim::Duration d) {
   return std::make_unique<ScriptedBehavior>(

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/trace.h"
@@ -26,6 +30,13 @@ struct EngineTestAccess {
 };
 
 namespace {
+
+TEST(Engine, DefaultsToWheelBackendAndSinglePopDispatch) {
+  Engine eng;
+  EXPECT_EQ(eng.queue_kind(), QueueKind::kHybridWheel);
+  EXPECT_STREQ(eng.queue_name(), "wheel");
+  static_assert(Engine::default_dispatch_batch() == 1);
+}
 
 TEST(Engine, StartsAtTimeZero) {
   Engine eng;
@@ -338,6 +349,159 @@ TEST(EnginePool, RunReportsBudgetExhaustion) {
   EXPECT_EQ(done.dispatched, 2u);
   EXPECT_FALSE(done.budget_exhausted);
 }
+
+// --- Dispatch edge cases, on every queue backend ---
+
+class EngineDispatch : public ::testing::TestWithParam<QueueKind> {};
+
+TEST_P(EngineDispatch, InCallbackSchedulesFireInGlobalOrder) {
+  // A callback schedules ahead of already-queued events (t=1500, between
+  // queued 1000 and 2000) and at an already-passed time (clamped to now).
+  // Both must interleave exactly where {when, seq} places them.
+  Engine eng(GetParam());
+  std::vector<std::pair<Time, int>> fired;
+  auto note = [&](int id) { fired.push_back({eng.now(), id}); };
+  for (int i = 0; i < 64; ++i) {
+    eng.schedule((i + 1) * 1000, [&note, i] { note(i); });
+  }
+  eng.schedule(1000, [&] {
+    note(100);
+    eng.schedule(500, [&note] { note(101); });  // t=1500: between queued
+    eng.schedule(-5, [&note] { note(102); });   // clamped to t=1000
+    eng.schedule(0, [&note] { note(103); });    // t=1000, later seq
+  });
+  eng.run();
+  ASSERT_EQ(fired.size(), 68u);
+  // t=1000: event 0 (seq order), then the extra callback, then its two
+  // same-timestamp children; t=1500 lands between events 0 and 1.
+  EXPECT_EQ(fired[0], (std::pair<Time, int>{1000, 0}));
+  EXPECT_EQ(fired[1], (std::pair<Time, int>{1000, 100}));
+  EXPECT_EQ(fired[2], (std::pair<Time, int>{1000, 102}));
+  EXPECT_EQ(fired[3], (std::pair<Time, int>{1000, 103}));
+  EXPECT_EQ(fired[4], (std::pair<Time, int>{1500, 101}));
+  EXPECT_EQ(fired[5], (std::pair<Time, int>{2000, 1}));
+  for (int i = 2; i < 64; ++i) {
+    EXPECT_EQ(fired[4 + i], (std::pair<Time, int>{(i + 1) * 1000, i}));
+  }
+}
+
+TEST_P(EngineDispatch, NestedRunDispatchesQueuedEvents) {
+  // An event's callback starts a nested run over a window that covers
+  // events already queued: the nested run must dispatch them in order,
+  // and the outer run must resume after them, never skip or repeat.
+  Engine eng(GetParam());
+  std::vector<int> fired;
+  for (int i = 1; i <= 10; ++i) {
+    eng.schedule(i * 100, [&fired, i] { fired.push_back(i); });
+  }
+  eng.schedule(100, [&] {
+    fired.push_back(-1);
+    eng.run_until(450);  // covers events 2..4
+    fired.push_back(-2);
+  });
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, -1, 2, 3, 4, -2, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(eng.queued(), 0u);
+}
+
+TEST_P(EngineDispatch, BudgetStopThenResumeLosesNothing) {
+  Engine eng(GetParam());
+  std::vector<int> fired;
+  for (int i = 0; i < 100; ++i) {
+    eng.schedule(i + 1, [&fired, i] { fired.push_back(i); });
+  }
+  const auto out = eng.run(30);
+  EXPECT_EQ(out.dispatched, 30u);
+  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_EQ(eng.queued(), 70u);
+  const auto rest = eng.run();
+  EXPECT_EQ(rest.dispatched, 70u);
+  EXPECT_FALSE(rest.budget_exhausted);
+  ASSERT_EQ(fired.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[i], i);
+}
+
+TEST_P(EngineDispatch, CancelOfQueuedEntryFromCallbackIsHonoured) {
+  // The first callback cancels events that are already queued: they must
+  // not fire, and the shell bookkeeping must come back to zero (the
+  // dispatch loop's skip path decrements it).
+  Engine eng(GetParam());
+  std::vector<int> fired;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 40; ++i) {
+    handles.push_back(
+        eng.schedule(i + 1, [&fired, i] { fired.push_back(i); }));
+  }
+  eng.schedule(0, [&] {
+    handles[5].cancel();
+    handles[20].cancel();
+    handles[39].cancel();
+  });
+  eng.run();
+  EXPECT_EQ(fired.size(), 37u);
+  EXPECT_TRUE(std::find(fired.begin(), fired.end(), 5) == fired.end());
+  EXPECT_TRUE(std::find(fired.begin(), fired.end(), 20) == fired.end());
+  EXPECT_TRUE(std::find(fired.begin(), fired.end(), 39) == fired.end());
+  EXPECT_EQ(eng.cancelled_shells(), 0u);
+  EXPECT_EQ(eng.queued(), 0u);
+}
+
+/// Self-rescheduling workload with in-callback cancels, driven through one
+/// of the three run entry points; returns the {when, id} dispatch log.
+std::vector<std::pair<Time, int>> drive_workload(QueueKind kind, int mode) {
+  Engine eng(kind);
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<EventHandle> handles;
+  std::function<void(int)> fire = [&](int id) {
+    fired.push_back({eng.now(), id});
+    if (id < 600) {
+      const int child = id + 200;
+      handles.push_back(eng.schedule((id * 13) % 500,
+                                     [&fire, child] { fire(child); }));
+    }
+    if (id % 5 == 0) handles[(id * 7) % handles.size()].cancel();
+  };
+  for (int i = 0; i < 200; ++i) {
+    handles.push_back(eng.schedule((i * 37) % 1000, [&fire, i] { fire(i); }));
+  }
+  switch (mode) {
+    case 0:
+      EXPECT_FALSE(eng.run().budget_exhausted);
+      break;
+    case 1:
+      while (eng.queued() > 0) eng.run_until(eng.now() + 97);
+      break;
+    default:
+      EXPECT_FALSE(eng.run_while([] { return true; }));
+      break;
+  }
+  EXPECT_EQ(eng.queued(), 0u);
+  EXPECT_EQ(eng.cancelled_shells(), 0u);
+  EXPECT_EQ(eng.dispatched(), fired.size());
+  return fired;
+}
+
+TEST_P(EngineDispatch, RunEntryPointsDispatchIdentically) {
+  // run(), chunked run_until() and run_while() share one dispatch loop, so
+  // the same workload must fire the same events at the same times in the
+  // same order whichever entry point drives it.
+  const auto via_run = drive_workload(GetParam(), 0);
+  ASSERT_GT(via_run.size(), 200u);
+  ASSERT_LT(via_run.size(), 800u);  // some cancels really landed
+  EXPECT_TRUE(std::is_sorted(
+      via_run.begin(), via_run.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  EXPECT_EQ(drive_workload(GetParam(), 1), via_run);
+  EXPECT_EQ(drive_workload(GetParam(), 2), via_run);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, EngineDispatch,
+    ::testing::Values(QueueKind::kBinaryHeap, QueueKind::kQuadHeap,
+                      QueueKind::kHybridWheel),
+    [](const ::testing::TestParamInfo<QueueKind>& info) {
+      return std::string(make_event_queue(info.param)->name());
+    });
 
 // --- InlineFn (small-buffer callback) ---
 

@@ -237,6 +237,60 @@ TEST(WheelQueue, SameTimestampFifoAcrossWheelHeapBoundary) {
   EXPECT_FALSE(q->pop(&e));
 }
 
+TEST(WheelQueue, PushBoundaryIsOneRotationPastOpenBucket) {
+  auto q = sim::make_event_queue(sim::QueueKind::kHybridWheel);
+  // With the open bucket at index 0, the last wheel bucket is 511
+  // (kHorizonNs - 1) and index 512 (kHorizonNs) would alias the open slot,
+  // so it spills. Interleaved pushes on both sides of that line must pop
+  // in {when, seq} order, and a deadline one tick short of the horizon
+  // must stop exactly at the line.
+  q->push({kBucketNs, 0, 0, 0});        // wheel anchor
+  q->push({kHorizonNs, 1, 1, 0});       // first spilled index
+  q->push({kHorizonNs - 1, 2, 2, 0});   // last wheel bucket
+  q->push({kHorizonNs, 3, 3, 0});
+  q->push({kHorizonNs - 1, 4, 4, 0});
+  EXPECT_EQ(q->size(), 5u);
+  sim::QEntry e;
+  ASSERT_TRUE(q->pop(&e));
+  EXPECT_EQ(e.slot, 0u);
+  // The cursor has moved one bucket on: the same `when` now fits in the
+  // wheel and must still order after the spilled entries by seq.
+  q->push({kHorizonNs, 5, 5, 0});
+  std::vector<std::uint32_t> order;
+  while (q->pop_until(kHorizonNs - 1, &e)) order.push_back(e.slot);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 4}));
+  EXPECT_EQ(q->size(), 3u);
+  while (q->pop(&e)) order.push_back(e.slot);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 4, 1, 3, 5}));
+  EXPECT_EQ(q->size(), 0u);
+}
+
+TEST(WheelQueue, SpillHeapDrainsAloneAndTakesPushesBehindTeleportedCursor) {
+  auto q = sim::make_event_queue(sim::QueueKind::kHybridWheel);
+  sim::QEntry e;
+  // Far entries spill while a near anchor keeps the wheel populated.
+  const sim::Time far = 10 * kHorizonNs;
+  q->push({kBucketNs, 0, 0, 0});
+  q->push({far, 1, 1, 0});
+  q->push({far + 5 * kBucketNs, 2, 2, 0});
+  ASSERT_TRUE(q->pop(&e));
+  EXPECT_EQ(e.slot, 0u);
+  // The wheel is empty now: pops and peeks are served by the heap alone,
+  // and the deadline still bounds them.
+  EXPECT_FALSE(q->pop_until(far - 1, &e));
+  ASSERT_TRUE(q->peek(&e));
+  EXPECT_EQ(e.slot, 1u);
+  // A push far past the heap entries teleports the cursor over them; a
+  // later push between the heap top and the new cursor lands behind it.
+  q->push({20 * kHorizonNs, 3, 3, 0});
+  q->push({far + kBucketNs, 4, 4, 0});
+  EXPECT_EQ(q->size(), 4u);
+  std::vector<std::uint32_t> order;
+  while (q->pop(&e)) order.push_back(e.slot);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 4, 2, 3}));
+  EXPECT_FALSE(q->peek(&e));
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level: wheel-resident shells and the compaction trigger
 // ---------------------------------------------------------------------------
@@ -264,12 +318,12 @@ TEST_P(EngineBackend, WheelResidentShellsTriggerCompaction) {
   EXPECT_EQ(eng.queued(), 0u);
 }
 
-TEST_P(EngineBackend, CalendarResidentShellsTriggerCompaction) {
+TEST_P(EngineBackend, SpillHeapShellsTriggerCompaction) {
   // The far-future mirror of the wheel case above: every event sits past
-  // the wheel horizon but inside the calendar span, so on the hybrid
-  // backend all of them are calendar-resident. Stale shells parked in
-  // calendar buckets must feed the same shell-ratio trigger (counted by
-  // size() and removed by compact()), with identical arithmetic.
+  // the wheel horizon, so on the hybrid backend all of them are resident
+  // in the spill heap. Stale shells parked there must feed the same
+  // shell-ratio trigger (counted by size() and removed by compact()), with
+  // identical arithmetic.
   sim::Engine eng(GetParam());
   std::vector<sim::EventHandle> handles;
   int fired = 0;
@@ -365,35 +419,25 @@ std::vector<Dispatch> run_churn(sim::QueueKind kind, std::uint64_t seed,
   }
   eng.run();
   EXPECT_EQ(eng.queued(), 0u);
+  EXPECT_EQ(eng.cancelled_shells(), 0u);
   return log;
 }
 
-/// Strip kQueueGeometry records before cross-backend comparison: only the
-/// wheel backend ever retunes, so its trace may legitimately carry
-/// geometry records the heap backends never produce. Everything else must
-/// match field for field.
-std::vector<sim::TraceRecord> without_geometry(
-    std::vector<sim::TraceRecord> recs) {
-  std::erase_if(recs, [](const sim::TraceRecord& r) {
-    return r.kind == sim::TraceKind::kQueueGeometry;
-  });
-  return recs;
-}
-
 TEST(QueueOracle, RandomChurnMatchesBinaryHeapDispatchAndTraceBytes) {
-  for (std::uint64_t seed : {1ull, 20260805ull, 0xdecafbadull}) {
+  for (std::uint64_t seed : {1ull, 5ull, 20260805ull, 20260808ull,
+                             0xabad1deaull, 0xdecafbadull}) {
     sim::Trace oracle_trace(1 << 12);
     const auto oracle =
         run_churn(sim::QueueKind::kBinaryHeap, seed, &oracle_trace);
     ASSERT_FALSE(oracle.empty());
-    const auto oracle_snap = without_geometry(oracle_trace.snapshot());
+    const auto oracle_snap = oracle_trace.snapshot();
 
     for (sim::QueueKind kind :
          {sim::QueueKind::kQuadHeap, sim::QueueKind::kHybridWheel}) {
       sim::Trace trace(1 << 12);
       const auto got = run_churn(kind, seed, &trace);
       EXPECT_EQ(got, oracle) << "dispatch order diverged, seed " << seed;
-      const auto snap = without_geometry(trace.snapshot());
+      const auto snap = trace.snapshot();
       ASSERT_EQ(snap.size(), oracle_snap.size());
       // Every trace record field-identical (memcmp would also compare
       // indeterminate padding bytes).

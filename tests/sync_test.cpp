@@ -13,6 +13,7 @@
 #include "src/sync/spinlock.h"
 #include "src/sync/sync_context.h"
 #include "src/sync/work_pool.h"
+#include "tests/helpers.h"
 
 namespace irs::sync {
 namespace {
@@ -42,7 +43,7 @@ class SyncTest : public ::testing::Test {
     while (tasks_.size() <= static_cast<std::size_t>(i)) {
       const auto id = static_cast<guest::TaskId>(tasks_.size());
       tasks_.push_back(std::make_unique<guest::Task>(
-          id, "t" + std::to_string(id), nullptr, sim::Rng(7)));
+          id, test::numbered("t", id), nullptr, sim::Rng(7)));
     }
     return *tasks_[static_cast<std::size_t>(i)];
   }
