@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "src/obs/json.h"
+#include "src/obs/ledger.h"
 #include "src/obs/slo.h"
 
 namespace irs::exp {
@@ -95,24 +96,11 @@ void banner(std::ostream& os, const std::string& title) {
 }
 
 void result_json_fields(obs::JsonWriter& w, const RunResult& r) {
-  w.field("finished", r.finished);
-  w.field("fg_makespan_ns", static_cast<std::int64_t>(r.fg_makespan));
-  w.field("fg_util_vs_fair", r.fg_util_vs_fair);
-  w.field("fg_efficiency", r.fg_efficiency);
-  w.field("bg_progress_rate", r.bg_progress_rate);
-  w.field("throughput", r.throughput);
-  w.field("lat_mean_ns", static_cast<std::int64_t>(r.lat_mean));
-  w.field("lat_p99_ns", static_cast<std::int64_t>(r.lat_p99));
-  w.field("lat_p999_ns", static_cast<std::int64_t>(r.lat_p999));
-  w.field("lhp", r.lhp);
-  w.field("lwp", r.lwp);
-  w.field("irs_migrations", r.irs_migrations);
-  w.field("sa_sent", r.sa_sent);
-  w.field("sa_acked", r.sa_acked);
-  w.field("sa_delay_avg_ns", static_cast<std::int64_t>(r.sa_delay_avg));
-  w.field("sampler_digest", r.sampler_digest);
-  w.field("trace_dropped", r.trace_dropped);
-  w.field("trace_total_recorded", r.trace_total_recorded);
+  RunResult::fields(r, [&w](const char* key, const auto& m, Combine,
+                            unsigned) {
+    w.key(key);
+    obs::json_put(w, m);
+  });
   w.field("slo_digest", r.slo_digest);
   if (!r.slo.empty()) {
     w.key("slo");
@@ -126,12 +114,12 @@ void result_json_fields(obs::JsonWriter& w, const RunResult& r) {
   w.field("frontend_digest", r.frontend_digest);
   if (!r.frontend.empty()) {
     w.key("frontend");
-    obs::frontend_json(w, r.frontend);
+    obs::ledger_json(w, r.frontend);
   }
   w.field("cluster_digest", r.cluster_digest);
   if (!r.cluster.empty()) {
     w.key("cluster");
-    obs::cluster_json(w, r.cluster);
+    obs::ledger_json(w, r.cluster);
   }
 }
 
@@ -143,8 +131,8 @@ void write_result(obs::JsonWriter& w, const RunResult& r) {
   w.end_object();
 }
 
-/// Field-lookup helpers shared by the RunResult parser: fetch `key` from
-/// `v`, coerce into *out, and record a deterministic error otherwise.
+/// Fetch `key` from `v` into *out, recording a deterministic error
+/// otherwise.
 template <typename T>
 bool read_field(const obs::JsonValue& v, const char* key, T* out,
                 std::string* err) {
@@ -153,18 +141,10 @@ bool read_field(const obs::JsonValue& v, const char* key, T* out,
     if (err) *err = std::string("missing field '") + key + "'";
     return false;
   }
-  if (!f->get(out)) {
+  if (!obs::json_get(*f, out)) {
     if (err) *err = std::string("bad type for field '") + key + "'";
     return false;
   }
-  return true;
-}
-
-bool read_duration(const obs::JsonValue& v, const char* key, sim::Duration* out,
-                   std::string* err) {
-  std::int64_t ns = 0;
-  if (!read_field(v, key, &ns, err)) return false;
-  *out = static_cast<sim::Duration>(ns);
   return true;
 }
 
@@ -194,62 +174,34 @@ bool result_from_value(const obs::JsonValue& v, RunResult* r,
     return false;
   }
   RunResult out;
-  if (!read_field(v, "finished", &out.finished, err)) return false;
-  if (!read_duration(v, "fg_makespan_ns", &out.fg_makespan, err)) return false;
-  if (!read_field(v, "fg_util_vs_fair", &out.fg_util_vs_fair, err)) {
-    return false;
-  }
-  if (!read_field(v, "fg_efficiency", &out.fg_efficiency, err)) return false;
-  if (!read_field(v, "bg_progress_rate", &out.bg_progress_rate, err)) {
-    return false;
-  }
-  if (!read_field(v, "throughput", &out.throughput, err)) return false;
-  if (!read_duration(v, "lat_mean_ns", &out.lat_mean, err)) return false;
-  if (!read_duration(v, "lat_p99_ns", &out.lat_p99, err)) return false;
-  // Absent in pre-cluster captures (like forensics/frontend below).
-  if (v.find("lat_p999_ns") != nullptr &&
-      !read_duration(v, "lat_p999_ns", &out.lat_p999, err)) {
-    return false;
-  }
-  if (!read_field(v, "lhp", &out.lhp, err)) return false;
-  if (!read_field(v, "lwp", &out.lwp, err)) return false;
-  if (!read_field(v, "irs_migrations", &out.irs_migrations, err)) return false;
-  if (!read_field(v, "sa_sent", &out.sa_sent, err)) return false;
-  if (!read_field(v, "sa_acked", &out.sa_acked, err)) return false;
-  if (!read_duration(v, "sa_delay_avg_ns", &out.sa_delay_avg, err)) {
-    return false;
-  }
-  if (!read_field(v, "sampler_digest", &out.sampler_digest, err)) return false;
-  if (!read_field(v, "trace_dropped", &out.trace_dropped, err)) return false;
-  if (!read_field(v, "trace_total_recorded", &out.trace_total_recorded, err)) {
-    return false;
-  }
+  bool ok = true;
+  RunResult::fields(out, [&](const char* key, auto& m, Combine,
+                             unsigned flags) {
+    if (!ok || ((flags & kOptional) != 0 && v.find(key) == nullptr)) return;
+    ok = read_field(v, key, &m, err);
+  });
+  if (!ok) return false;
+  // The three newer digests are absent in older captures: 0 then.
+  const auto optional = [&](const char* key, std::uint64_t* d) {
+    return v.find(key) == nullptr || read_field(v, key, d, err);
+  };
   if (!read_field(v, "slo_digest", &out.slo_digest, err)) return false;
   if (const obs::JsonValue* slo = v.find("slo")) {
     if (!obs::slo_result_from_value(*slo, &out.slo, err)) return false;
   }
-  // Absent in pre-forensics captures: default to 0/empty so old NDJSON
-  // shards stay parseable.
-  if (v.find("forensics_digest") != nullptr &&
-      !read_field(v, "forensics_digest", &out.forensics_digest, err)) {
-    return false;
-  }
+  if (!optional("forensics_digest", &out.forensics_digest)) return false;
   if (const obs::JsonValue* fz = v.find("forensics")) {
     if (!obs::forensics_from_value(*fz, &out.forensics, err)) return false;
   }
-  if (v.find("frontend_digest") != nullptr &&
-      !read_field(v, "frontend_digest", &out.frontend_digest, err)) {
+  if (!optional("frontend_digest", &out.frontend_digest)) return false;
+  const obs::JsonValue* fe = v.find("frontend");
+  if (fe && !obs::ledger_from_value(*fe, "frontend", &out.frontend, err)) {
     return false;
   }
-  if (const obs::JsonValue* fe = v.find("frontend")) {
-    if (!obs::frontend_from_value(*fe, &out.frontend, err)) return false;
-  }
-  if (v.find("cluster_digest") != nullptr &&
-      !read_field(v, "cluster_digest", &out.cluster_digest, err)) {
+  if (!optional("cluster_digest", &out.cluster_digest)) return false;
+  const obs::JsonValue* cl = v.find("cluster");
+  if (cl && !obs::ledger_from_value(*cl, "cluster", &out.cluster, err)) {
     return false;
-  }
-  if (const obs::JsonValue* cl = v.find("cluster")) {
-    if (!obs::cluster_from_value(*cl, &out.cluster, err)) return false;
   }
   *r = out;
   return true;

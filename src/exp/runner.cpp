@@ -79,7 +79,7 @@ void extract_server_metrics(wl::Workload& fg_wl, sim::Time now, RunResult* r) {
     r->frontend = fe->frontend_result();
   }
   r->slo_digest = r->slo.digest();
-  r->frontend_digest = r->frontend.digest();
+  r->frontend_digest = obs::ledger_digest(r->frontend);
 }
 
 /// Fill a TraceDump from one host node (cluster path; the single-host path
@@ -365,7 +365,7 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
           : 0;
 
   r.cluster = cl.result();
-  r.cluster_digest = r.cluster.digest();
+  r.cluster_digest = obs::ledger_digest(r.cluster);
 
   if (want_dump) {
     const std::string title =
@@ -391,26 +391,6 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
 }
 
 }  // namespace
-
-bool results_identical(const RunResult& a, const RunResult& b) {
-  return a.finished == b.finished && a.fg_makespan == b.fg_makespan &&
-         a.fg_util_vs_fair == b.fg_util_vs_fair &&
-         a.fg_efficiency == b.fg_efficiency &&
-         a.bg_progress_rate == b.bg_progress_rate &&
-         a.throughput == b.throughput && a.lat_mean == b.lat_mean &&
-         a.lat_p99 == b.lat_p99 && a.lat_p999 == b.lat_p999 &&
-         a.lhp == b.lhp && a.lwp == b.lwp &&
-         a.irs_migrations == b.irs_migrations && a.sa_sent == b.sa_sent &&
-         a.sa_acked == b.sa_acked && a.sa_delay_avg == b.sa_delay_avg &&
-         a.sampler_digest == b.sampler_digest &&
-         a.trace_dropped == b.trace_dropped &&
-         a.trace_total_recorded == b.trace_total_recorded &&
-         a.slo == b.slo && a.slo_digest == b.slo_digest &&
-         a.forensics == b.forensics &&
-         a.forensics_digest == b.forensics_digest &&
-         a.frontend == b.frontend && a.frontend_digest == b.frontend_digest &&
-         a.cluster == b.cluster && a.cluster_digest == b.cluster_digest;
-}
 
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture) {
   if (cfg.cluster.n_hosts >= 2) return run_cluster(cfg, capture);

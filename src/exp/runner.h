@@ -126,6 +126,22 @@ struct ScenarioConfig : obs::TelemetryConfig {
   bool forensics_analyze = true;
 };
 
+/// How average_results combines one RunResult scalar across seeds.
+enum class Combine {
+  kAny,        // logical OR
+  kMean,       // sum as double, divide, convert back to the field type
+  kSumDivide,  // exact integer sum, then integer division by the seed count
+  kSum,        // exact integer sum
+  kXor,        // XOR: order-independent, 0 when every run had 0 (digests)
+};
+
+/// RunResult scalar flags.
+enum ScalarFlags : unsigned {
+  kPlain = 0,
+  kStat = 1u << 0,      // SweepStats keeps a StatAccumulator for it
+  kOptional = 1u << 1,  // may be absent on read (older captures); 0 then
+};
+
 /// Metrics extracted from one run.
 struct RunResult {
   bool finished = false;
@@ -174,6 +190,34 @@ struct RunResult {
   /// (counters add exactly; see src/obs/cluster_stats.h).
   obs::ClusterResult cluster;
   std::uint64_t cluster_digest = 0;
+
+  /// Exact equality over every field (doubles compared with ==).
+  bool operator==(const RunResult& o) const = default;
+
+  /// The scalars, finished .. trace_total_recorded, in result_json key
+  /// order: JSON key, seed-average rule, flags. The four blocks and their
+  /// digests are written and read explicitly after these.
+  template <class Self, class V>
+  static void fields(Self& s, V&& v) {
+    v("finished", s.finished, Combine::kAny, kPlain);
+    v("fg_makespan_ns", s.fg_makespan, Combine::kMean, kStat);
+    v("fg_util_vs_fair", s.fg_util_vs_fair, Combine::kMean, kStat);
+    v("fg_efficiency", s.fg_efficiency, Combine::kMean, kStat);
+    v("bg_progress_rate", s.bg_progress_rate, Combine::kMean, kStat);
+    v("throughput", s.throughput, Combine::kMean, kStat);
+    v("lat_mean_ns", s.lat_mean, Combine::kMean, kStat);
+    v("lat_p99_ns", s.lat_p99, Combine::kMean, kStat);
+    v("lat_p999_ns", s.lat_p999, Combine::kMean, kStat | kOptional);
+    v("lhp", s.lhp, Combine::kSumDivide, kStat);
+    v("lwp", s.lwp, Combine::kSumDivide, kStat);
+    v("irs_migrations", s.irs_migrations, Combine::kSum, kStat);
+    v("sa_sent", s.sa_sent, Combine::kSum, kStat);
+    v("sa_acked", s.sa_acked, Combine::kSum, kStat);
+    v("sa_delay_avg_ns", s.sa_delay_avg, Combine::kMean, kStat);
+    v("sampler_digest", s.sampler_digest, Combine::kXor, kPlain);
+    v("trace_dropped", s.trace_dropped, Combine::kSum, kPlain);
+    v("trace_total_recorded", s.trace_total_recorded, Combine::kSum, kPlain);
+  }
 };
 
 /// A run's trace, captured for export: the snapshot (time-ordered, flushed)
@@ -189,11 +233,13 @@ struct TraceDump {
   obs::ForensicsResult forensics;
 };
 
-/// Exact equality over every RunResult field (doubles compared bitwise via
-/// ==). The determinism contract of this repo: equal configs on equal seeds
+/// Exact equality over every RunResult field (doubles compared via ==).
+/// The determinism contract of this repo: equal configs on equal seeds
 /// must compare identical regardless of thread count, process count, or a
 /// trip through NDJSON.
-bool results_identical(const RunResult& a, const RunResult& b);
+inline bool results_identical(const RunResult& a, const RunResult& b) {
+  return a == b;
+}
 
 /// Capture options for run_scenario — the open-ended replacement for the
 /// old run_scenario(cfg) / run_scenario(cfg, TraceDump*) overload pair:

@@ -101,110 +101,36 @@ void StatAccumulator::merge(const StatAccumulator& o) {
 // SweepStats
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct MetricDef {
-  const char* name;
-  double (*get)(const RunResult&);
-};
-
-/// One entry per scalar result_json field, in field order.
-constexpr MetricDef kMetrics[] = {
-    {"fg_makespan_ns",
-     [](const RunResult& r) { return static_cast<double>(r.fg_makespan); }},
-    {"fg_util_vs_fair", [](const RunResult& r) { return r.fg_util_vs_fair; }},
-    {"fg_efficiency", [](const RunResult& r) { return r.fg_efficiency; }},
-    {"bg_progress_rate",
-     [](const RunResult& r) { return r.bg_progress_rate; }},
-    {"throughput", [](const RunResult& r) { return r.throughput; }},
-    {"lat_mean_ns",
-     [](const RunResult& r) { return static_cast<double>(r.lat_mean); }},
-    {"lat_p99_ns",
-     [](const RunResult& r) { return static_cast<double>(r.lat_p99); }},
-    {"lat_p999_ns",
-     [](const RunResult& r) { return static_cast<double>(r.lat_p999); }},
-    {"lhp", [](const RunResult& r) { return static_cast<double>(r.lhp); }},
-    {"lwp", [](const RunResult& r) { return static_cast<double>(r.lwp); }},
-    {"irs_migrations",
-     [](const RunResult& r) { return static_cast<double>(r.irs_migrations); }},
-    {"sa_sent",
-     [](const RunResult& r) { return static_cast<double>(r.sa_sent); }},
-    {"sa_acked",
-     [](const RunResult& r) { return static_cast<double>(r.sa_acked); }},
-    {"sa_delay_avg_ns",
-     [](const RunResult& r) { return static_cast<double>(r.sa_delay_avg); }},
-};
-constexpr std::size_t kNMetrics = std::size(kMetrics);
-
-}  // namespace
-
 const std::vector<std::string>& SweepStats::metric_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> v;
-    v.reserve(kNMetrics);
-    for (const MetricDef& m : kMetrics) v.emplace_back(m.name);
+    const RunResult r;
+    RunResult::fields(r, [&v](const char* key, const auto&, Combine,
+                              unsigned flags) {
+      if ((flags & kStat) != 0) v.emplace_back(key);
+    });
     return v;
   }();
   return names;
 }
 
 void SweepStats::add(const RunResult& r) {
-  if (acc_.empty()) acc_.resize(kNMetrics);
+  if (acc_.empty()) acc_.resize(metric_names().size());
   ++runs_;
   if (r.finished) ++finished_;
-  for (std::size_t i = 0; i < kNMetrics; ++i) acc_[i].add(kMetrics[i].get(r));
+  std::size_t i = 0;
+  RunResult::fields(r, [&](const char*, const auto& m, Combine,
+                           unsigned flags) {
+    if ((flags & kStat) != 0) acc_[i++].add(static_cast<double>(m));
+  });
   slo_digest_xor_ ^= r.slo_digest;
-  fold_slo(slo_, r.slo);
+  obs::fold_slo(slo_, r.slo);
   forensics_digest_xor_ ^= r.forensics_digest;
   obs::fold_forensics(forensics_, r.forensics);
   frontend_digest_xor_ ^= r.frontend_digest;
-  obs::fold_frontend(frontend_, r.frontend);
+  obs::ledger_fold(frontend_, r.frontend);
   cluster_digest_xor_ ^= r.cluster_digest;
-  obs::fold_cluster(cluster_, r.cluster);
-}
-
-void fold_slo(obs::SloResult& acc, const obs::SloResult& r) {
-  if (r.empty()) return;
-  if (acc.empty()) {
-    acc = r;
-    return;
-  }
-  for (const obs::SloClassResult& c : r.classes) {
-    obs::SloClassResult* dst = nullptr;
-    for (obs::SloClassResult& d : acc.classes) {
-      if (d.name == c.name) {
-        dst = &d;
-        break;
-      }
-    }
-    if (dst == nullptr) {
-      acc.classes.push_back(c);
-      continue;
-    }
-    dst->total.merge(c.total);
-    for (const obs::SloWindow& w : c.windows) {
-      obs::SloWindow* dw = nullptr;
-      for (obs::SloWindow& x : dst->windows) {
-        if (x.index == w.index) {
-          dw = &x;
-          break;
-        }
-      }
-      if (dw == nullptr) {
-        dst->windows.push_back(w);
-      } else {
-        dw->count += w.count;
-        dw->violations += w.violations;
-        dw->p50 = std::max(dw->p50, w.p50);
-        dw->p99 = std::max(dw->p99, w.p99);
-        dw->p999 = std::max(dw->p999, w.p999);
-      }
-    }
-    std::sort(dst->windows.begin(), dst->windows.end(),
-              [](const obs::SloWindow& a, const obs::SloWindow& b) {
-                return a.index < b.index;
-              });
-  }
+  obs::ledger_fold(cluster_, r.cluster);
 }
 
 const StatAccumulator& SweepStats::metric(std::size_t i) const {
@@ -220,9 +146,10 @@ std::string sweep_stats_json(const SweepStats& s) {
   w.field("finished", s.finished());
   w.key("metrics");
   w.begin_object();
-  for (std::size_t i = 0; i < kNMetrics; ++i) {
+  const std::vector<std::string>& names = SweepStats::metric_names();
+  for (std::size_t i = 0; i < names.size(); ++i) {
     const StatAccumulator& a = s.metric(i);
-    w.key(kMetrics[i].name);
+    w.key(names[i]);
     w.begin_object();
     w.field("count", a.count());
     w.field("mean", a.mean());
@@ -291,22 +218,18 @@ std::string sweep_stats_json(const SweepStats& s) {
     w.end_array();
     w.end_object();
   }
-  if (!s.frontend().empty()) {
-    w.key("frontend");
+  const auto ledger_section = [&w](const char* key, std::uint64_t digest_xor,
+                                   const auto& totals) {
+    if (totals.empty()) return;
+    w.key(key);
     w.begin_object();
-    w.field("digest_xor", s.frontend_digest_xor());
+    w.field("digest_xor", digest_xor);
     w.key("totals");
-    obs::frontend_json(w, s.frontend());
+    obs::ledger_json(w, totals);
     w.end_object();
-  }
-  if (!s.cluster().empty()) {
-    w.key("cluster");
-    w.begin_object();
-    w.field("digest_xor", s.cluster_digest_xor());
-    w.key("totals");
-    obs::cluster_json(w, s.cluster());
-    w.end_object();
-  }
+  };
+  ledger_section("frontend", s.frontend_digest_xor(), s.frontend());
+  ledger_section("cluster", s.cluster_digest_xor(), s.cluster());
   w.end_object();
   return w.str();
 }

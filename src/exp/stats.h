@@ -73,8 +73,8 @@ class StatAccumulator {
 };
 
 /// Aggregate statistics over a stream of RunResults: one accumulator per
-/// scalar metric plus run/finished counts. Metric order and names match
-/// result_json's fields.
+/// RunResult scalar flagged kStat, plus run/finished counts. Metric order
+/// and names match result_json's fields.
 class SweepStats {
  public:
   /// Names of the tracked metrics, in report order.
@@ -90,7 +90,7 @@ class SweepStats {
   [[nodiscard]] const StatAccumulator& metric(std::size_t i) const;
 
   /// Sweep-wide SLO fold: class histograms merged bucket-exact across every
-  /// run seen (see fold_slo). Empty when no run carried an slo block.
+  /// run seen (see obs::fold_slo). Empty when no run carried an slo block.
   [[nodiscard]] const obs::SloResult& slo() const { return slo_; }
   /// XOR of every run's slo_digest — the order-independent identity
   /// sentinel the shard merge checks, mirroring sampler digests.
@@ -110,7 +110,7 @@ class SweepStats {
   }
 
   /// Sweep-wide front-end fold: the conservation ledgers of every run
-  /// summed exactly (see obs::fold_frontend). Empty when no run carried a
+  /// summed exactly (see obs::ledger_fold). Empty when no run carried a
   /// frontend block.
   [[nodiscard]] const obs::FrontendResult& frontend() const {
     return frontend_;
@@ -121,7 +121,7 @@ class SweepStats {
   }
 
   /// Sweep-wide cluster fold: every run's placement/migration ledger summed
-  /// exactly (see obs::fold_cluster). Empty when no run was a cluster run.
+  /// exactly (see obs::ledger_fold). Empty when no run was a cluster run.
   [[nodiscard]] const obs::ClusterResult& cluster() const { return cluster_; }
   /// XOR of every run's cluster_digest (see slo_digest_xor).
   [[nodiscard]] std::uint64_t cluster_digest_xor() const {
@@ -141,14 +141,6 @@ class SweepStats {
   obs::ClusterResult cluster_;
   std::uint64_t cluster_digest_xor_ = 0;
 };
-
-/// Fold one run's SLO capture into `acc`: classes match by name, totals
-/// merge bucket-exact (integer histogram fold — order- and
-/// grouping-independent), windows merge by index summing count/violations
-/// and keeping the max percentile (a conservative "worst run" envelope:
-/// percentiles of disjoint streams do not average). Shared by
-/// average_results and SweepStats.
-void fold_slo(obs::SloResult& acc, const obs::SloResult& r);
 
 /// Stable JSON rendering of a SweepStats (fixed key order; count, mean,
 /// stddev, min, max, p50/p90/p99 per metric; an "slo" section with the

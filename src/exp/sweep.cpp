@@ -1,6 +1,7 @@
 #include "src/exp/sweep.h"
 
 #include <algorithm>
+#include <concepts>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "src/exp/stats.h"
+#include "src/obs/ledger.h"
 
 namespace irs::exp {
 
@@ -165,50 +167,39 @@ std::vector<ScenarioConfig> seed_grid(const ScenarioConfig& cfg,
 RunResult average_results(const std::vector<RunResult>& rs) {
   RunResult acc;
   if (rs.empty()) return acc;
-  double makespan = 0, util = 0, eff = 0, bg_rate = 0, thr = 0;
-  double lat_mean = 0, lat_p99 = 0, lat_p999 = 0, sa_delay = 0;
+  // kMean scalars accumulate here, by field position, as doubles.
+  std::vector<double> sums(obs::field_count<RunResult>(), 0.0);
   for (const RunResult& r : rs) {
-    acc.finished = acc.finished || r.finished;
-    makespan += static_cast<double>(r.fg_makespan);
-    util += r.fg_util_vs_fair;
-    eff += r.fg_efficiency;
-    bg_rate += r.bg_progress_rate;
-    thr += r.throughput;
-    lat_mean += static_cast<double>(r.lat_mean);
-    lat_p99 += static_cast<double>(r.lat_p99);
-    lat_p999 += static_cast<double>(r.lat_p999);
-    sa_delay += static_cast<double>(r.sa_delay_avg);
-    acc.lhp += r.lhp;
-    acc.lwp += r.lwp;
-    acc.irs_migrations += r.irs_migrations;
-    acc.sa_sent += r.sa_sent;
-    acc.sa_acked += r.sa_acked;
-    // XOR keeps the digest order-independent and zero when sampling was off
-    // everywhere; an average would be meaningless for a hash.
-    acc.sampler_digest ^= r.sampler_digest;
+    obs::zip_fields(acc, r, [&sums](std::size_t i, auto& a, const auto& b,
+                                    Combine c, unsigned) {
+      using T = std::remove_reference_t<decltype(a)>;
+      if (c == Combine::kMean) {
+        sums[i] += static_cast<double>(b);
+      } else if constexpr (std::same_as<T, bool>) {
+        a = a || b;  // kAny
+      } else if constexpr (std::integral<T>) {
+        a = c == Combine::kXor ? a ^ b : a + b;  // kSum, kSumDivide
+      }
+    });
+    // XOR keeps a digest order-independent and zero when the block was
+    // absent everywhere; an average would be meaningless for a hash.
     acc.slo_digest ^= r.slo_digest;
     acc.forensics_digest ^= r.forensics_digest;
     acc.frontend_digest ^= r.frontend_digest;
     acc.cluster_digest ^= r.cluster_digest;
-    acc.trace_dropped += r.trace_dropped;
-    acc.trace_total_recorded += r.trace_total_recorded;
-    fold_slo(acc.slo, r.slo);  // bucket-exact class fold (see exp/stats.h)
+    obs::fold_slo(acc.slo, r.slo);
     obs::fold_forensics(acc.forensics, r.forensics);
-    obs::fold_frontend(acc.frontend, r.frontend);
-    obs::fold_cluster(acc.cluster, r.cluster);
+    obs::ledger_fold(acc.frontend, r.frontend);
+    obs::ledger_fold(acc.cluster, r.cluster);
   }
   const double n = static_cast<double>(rs.size());
-  acc.fg_makespan = static_cast<sim::Duration>(makespan / n);
-  acc.fg_util_vs_fair = util / n;
-  acc.fg_efficiency = eff / n;
-  acc.bg_progress_rate = bg_rate / n;
-  acc.throughput = thr / n;
-  acc.lat_mean = static_cast<sim::Duration>(lat_mean / n);
-  acc.lat_p99 = static_cast<sim::Duration>(lat_p99 / n);
-  acc.lat_p999 = static_cast<sim::Duration>(lat_p999 / n);
-  acc.sa_delay_avg = static_cast<sim::Duration>(sa_delay / n);
-  acc.lhp /= rs.size();
-  acc.lwp /= rs.size();
+  std::size_t i = 0;
+  RunResult::fields(acc, [&](const char*, auto& a, Combine c, unsigned) {
+    using T = std::remove_reference_t<decltype(a)>;
+    if (c == Combine::kMean) a = static_cast<T>(sums[i] / n);
+    if (c == Combine::kSumDivide) a = static_cast<T>(a / rs.size());
+    ++i;
+  });
   return acc;
 }
 

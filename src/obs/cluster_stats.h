@@ -11,24 +11,23 @@
 //   sum_i migr_in_i == sum_i migr_out_i == migrations      (cluster-wide)
 //   sum_i placed_i == vms
 //
-// are test invariants (tests/cluster_test.cpp), and like every obs result
-// the block is integer-exact, folds across sweep shards order-independently
-// (fold_cluster), serializes round-trip (cluster_json / cluster_from_value),
-// and condenses to one FNV-1a digest() word.
+// are test invariants (tests/cluster_test.cpp). The block is a result
+// ledger (src/obs/ledger.h): its fields() list drives the digest, the
+// exact sweep fold and the JSON form. n_hosts and policy fold as max;
+// every counter, and the per-host rows position by position, add.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "src/obs/json.h"
-#include "src/obs/json_reader.h"
+#include "src/obs/ledger.h"
 #include "src/sim/time.h"
 
 namespace irs::obs {
 
 /// One host's slice of the placement ledger plus the collector's view of
-/// it (steal / LHP / LWP deltas summed over every sample window).
+/// it (steal / LHP / LWP deltas summed over every sample window). JSON
+/// carries it as a positional row [placed,migr_in,...,steal_ns].
 struct ClusterHostLedger {
   std::uint64_t placed = 0;      // initial placements
   std::uint64_t migr_in = 0;     // migrations targeting this host
@@ -40,6 +39,18 @@ struct ClusterHostLedger {
   sim::Duration steal = 0;       // collector-observed steal time
 
   bool operator==(const ClusterHostLedger& o) const = default;
+
+  template <class Self, class V>
+  static void fields(Self& s, V&& v) {
+    v("placed", s.placed, Fold::kSum);
+    v("migr_in", s.migr_in, Fold::kSum);
+    v("migr_out", s.migr_out, Fold::kSum);
+    v("active_end", s.active_end, Fold::kSum);
+    v("samples", s.samples, Fold::kSum);
+    v("lhp_events", s.lhp, Fold::kSum);
+    v("lwp_events", s.lwp, Fold::kSum);
+    v("steal_ns", s.steal, Fold::kSum);
+  }
 };
 
 struct ClusterResult {
@@ -57,22 +68,20 @@ struct ClusterResult {
 
   /// No cluster ran (every field at its default).
   [[nodiscard]] bool empty() const { return *this == ClusterResult{}; }
-  /// FNV-1a over every field. 0 is reserved for the empty result.
-  [[nodiscard]] std::uint64_t digest() const;
   bool operator==(const ClusterResult& o) const = default;
+
+  template <class Self, class V>
+  static void fields(Self& s, V&& v) {
+    v("n_hosts", s.n_hosts, Fold::kMax);
+    v("policy", s.policy, Fold::kMax);
+    v("vms", s.vms, Fold::kSum);
+    v("migratable", s.migratable, Fold::kSum);
+    v("decisions", s.decisions, Fold::kSum);
+    v("migrations", s.migrations, Fold::kSum);
+    v("in_transit_end", s.in_transit_end, Fold::kSum);
+    v("downtime_total_ns", s.downtime_total, Fold::kSum);
+    v("hosts", s.hosts, Fold::kSum);  // rows fold position by position
+  }
 };
-
-/// Exact fold of `r` into `acc` (for sweep averaging): counters add
-/// element-wise (the hosts vector grows to the larger size), n_hosts and
-/// policy take the max. Folding N shards in any order is bit-identical to
-/// any other order.
-void fold_cluster(ClusterResult& acc, const ClusterResult& r);
-
-/// Serialize as one JSON object on an open writer (fixed key order,
-/// integers exact; hosts as [[placed,in,out,active,samples,lhp,lwp,
-/// steal_ns],..]). Inverse below round-trips bit-identically.
-void cluster_json(JsonWriter& w, const ClusterResult& c);
-bool cluster_from_value(const JsonValue& v, ClusterResult* out,
-                        std::string* err);
 
 }  // namespace irs::obs

@@ -8,6 +8,8 @@
 #include <set>
 #include <vector>
 
+#include "src/obs/ledger.h"
+
 namespace irs::obs {
 
 const char* cause_name(Cause c) {
@@ -27,17 +29,6 @@ const char* cause_name(Cause c) {
   return "?";
 }
 
-bool ForensicsWindow::operator==(const ForensicsWindow& o) const {
-  if (index != o.index || requests != o.requests ||
-      violations != o.violations) {
-    return false;
-  }
-  for (int c = 0; c < kNumCauses; ++c) {
-    if (causes[c] != o.causes[c]) return false;
-  }
-  return true;
-}
-
 sim::Duration ForensicsClassResult::cause_total(Cause c) const {
   const LatencyHistogram& h = causes[static_cast<int>(c)];
   const unsigned __int128 s =
@@ -45,47 +36,9 @@ sim::Duration ForensicsClassResult::cause_total(Cause c) const {
   return static_cast<sim::Duration>(s);
 }
 
-bool ForensicsClassResult::operator==(const ForensicsClassResult& o) const {
-  if (name != o.name || !(spec == o.spec) || spans != o.spans ||
-      truncated != o.truncated || open != o.open || windows != o.windows) {
-    return false;
-  }
-  for (int c = 0; c < kNumCauses; ++c) {
-    if (!(causes[c] == o.causes[c])) return false;
-  }
-  return true;
-}
-
-bool ForensicsResult::operator==(const ForensicsResult& o) const {
-  return window == o.window && head_truncated_at == o.head_truncated_at &&
-         classes == o.classes;
-}
-
 // ---------------------------------------------------------------------------
 // Digest (same FNV-1a scheme as SloResult::digest)
 // ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 std::uint64_t ForensicsResult::digest() const {
   if (classes.empty()) return 0;
@@ -775,23 +728,9 @@ void forensics_json(JsonWriter& w, const ForensicsResult& f) {
     w.key("causes");
     w.begin_array();
     for (int i = 0; i < kNumCauses; ++i) {
-      const LatencyHistogram& h = c.causes[i];
       w.begin_object();
       w.field("name", std::string(cause_name(static_cast<Cause>(i))));
-      w.field("count", h.count());
-      w.field("sum_lo", h.sum_lo());
-      w.field("sum_hi", h.sum_hi());
-      w.field("min_ns", static_cast<std::int64_t>(h.min()));
-      w.field("max_ns", static_cast<std::int64_t>(h.max()));
-      w.key("buckets");
-      w.begin_array();
-      h.for_each_bucket([&w](int idx, std::uint64_t cnt) {
-        w.begin_array();
-        w.value(idx);
-        w.value(cnt);
-        w.end_array();
-      });
-      w.end_array();
+      histogram_json_fields(w, c.causes[i]);
       w.end_object();
     }
     w.end_array();
@@ -878,6 +817,7 @@ bool forensics_from_value(const JsonValue& v, ForensicsResult* out,
     if (causes == nullptr || !causes->is_array()) {
       return fz_err(err, "forensics class: missing 'causes'");
     }
+    bool seen[kNumCauses] = {};
     for (const JsonValue& hv : causes->items) {
       if (!hv.is_object()) {
         return fz_err(err, "forensics class: cause is not an object");
@@ -888,41 +828,13 @@ bool forensics_from_value(const JsonValue& v, ForensicsResult* out,
       }
       const int ci = cause_index(cname);
       if (ci < 0) return fz_err(err, "forensics cause: unknown '" + cname + "'");
-      LatencyHistogram& h = c.causes[ci];
-      std::uint64_t count = 0, sum_lo = 0, sum_hi = 0;
-      std::int64_t min_ns = 0, max_ns = 0;
-      if ((fld = hv.find("count")) == nullptr || !fld->get(&count)) {
-        return fz_err(err, "forensics cause: missing 'count'");
+      if (seen[ci]) {
+        return fz_err(err, "forensics cause: duplicate '" + cname + "'");
       }
-      if ((fld = hv.find("sum_lo")) == nullptr || !fld->get(&sum_lo)) {
-        return fz_err(err, "forensics cause: missing 'sum_lo'");
+      seen[ci] = true;
+      if (!histogram_from_value(hv, "forensics cause", &c.causes[ci], err)) {
+        return false;
       }
-      if ((fld = hv.find("sum_hi")) == nullptr || !fld->get(&sum_hi)) {
-        return fz_err(err, "forensics cause: missing 'sum_hi'");
-      }
-      if ((fld = hv.find("min_ns")) == nullptr || !fld->get(&min_ns)) {
-        return fz_err(err, "forensics cause: missing 'min_ns'");
-      }
-      if ((fld = hv.find("max_ns")) == nullptr || !fld->get(&max_ns)) {
-        return fz_err(err, "forensics cause: missing 'max_ns'");
-      }
-      const JsonValue* buckets = hv.find("buckets");
-      if (buckets == nullptr || !buckets->is_array()) {
-        return fz_err(err, "forensics cause: missing 'buckets'");
-      }
-      for (const JsonValue& bv : buckets->items) {
-        std::int64_t idx = 0;
-        std::uint64_t cnt = 0;
-        if (!bv.is_array() || bv.items.size() != 2 ||
-            !bv.items[0].get(&idx) || !bv.items[1].get(&cnt)) {
-          return fz_err(err, "forensics cause: bad bucket entry");
-        }
-        if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
-          return fz_err(err, "forensics cause: bucket index out of range");
-        }
-        h.restore_bucket(static_cast<int>(idx), cnt);
-      }
-      h.restore_summary(count, sum_lo, sum_hi, min_ns, max_ns);
     }
     const JsonValue* windows = cv.find("windows");
     if (windows == nullptr || !windows->is_array()) {

@@ -85,7 +85,7 @@ struct ForensicsWindow {
   std::uint64_t violations = 0; // of those, latency > spec.threshold
   sim::Duration causes[kNumCauses] = {};  // totals over violating spans
 
-  bool operator==(const ForensicsWindow& o) const;
+  bool operator==(const ForensicsWindow& o) const = default;
 };
 
 /// One SLO class's forensic capture: per-cause latency distributions over
@@ -106,7 +106,7 @@ struct ForensicsClassResult {
   /// Total latency charged to `c` across all completed spans (exact).
   [[nodiscard]] sim::Duration cause_total(Cause c) const;
 
-  bool operator==(const ForensicsClassResult& o) const;
+  bool operator==(const ForensicsClassResult& o) const = default;
 };
 
 /// The full forensic capture of one run — what RunResult carries,
@@ -122,7 +122,7 @@ struct ForensicsResult {
   [[nodiscard]] bool empty() const { return classes.empty(); }
   /// FNV-1a over every field. 0 is reserved for the empty result.
   [[nodiscard]] std::uint64_t digest() const;
-  bool operator==(const ForensicsResult& o) const;
+  bool operator==(const ForensicsResult& o) const = default;
 };
 
 /// One completed request span, captured by the serving workloads into a

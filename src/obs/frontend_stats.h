@@ -8,17 +8,14 @@
 //
 //   arrivals == completed + tail_dropped + admit_rejected + shed + in_flight
 //
-// is a test invariant (tests/frontend_test.cpp), and like every obs result
-// the block is integer-exact, folds across sweep shards order-independently
-// (fold_frontend), serializes round-trip (frontend_json /
-// frontend_from_value), and condenses to one FNV-1a digest() word.
+// is a test invariant (tests/frontend_test.cpp). The block is a result
+// ledger (src/obs/ledger.h): its fields() list drives the digest, the
+// exact sweep fold and the JSON form.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "src/obs/json.h"
-#include "src/obs/json_reader.h"
+#include "src/obs/ledger.h"
 #include "src/sim/time.h"
 
 namespace irs::obs {
@@ -45,20 +42,23 @@ struct FrontendResult {
   }
   /// No front-end ran (every field at its default).
   [[nodiscard]] bool empty() const { return *this == FrontendResult{}; }
-  /// FNV-1a over every field. 0 is reserved for the empty result.
-  [[nodiscard]] std::uint64_t digest() const;
   bool operator==(const FrontendResult& o) const = default;
+
+  template <class Self, class V>
+  static void fields(Self& s, V&& v) {
+    v("arrivals", s.arrivals, Fold::kSum);
+    v("accepted", s.accepted, Fold::kSum);
+    v("completed", s.completed, Fold::kSum);
+    v("tail_dropped", s.tail_dropped, Fold::kSum);
+    v("admit_rejected", s.admit_rejected, Fold::kSum);
+    v("shed", s.shed, Fold::kSum);
+    v("in_flight", s.in_flight, Fold::kSum);
+    v("conn_setups", s.conn_setups, Fold::kSum);
+    v("keepalive_reuses", s.keepalive_reuses, Fold::kSum);
+    v("max_queue_depth", s.max_queue_depth, Fold::kMax);
+    v("queue_wait_total_ns", s.queue_wait_total, Fold::kSum);
+    v("queue_wait_max_ns", s.queue_wait_max, Fold::kMax);
+  }
 };
-
-/// Exact fold of `r` into `acc` (for sweep averaging): counters add, the
-/// max fields take the max. Folding N shards in any order is bit-identical
-/// to any other order.
-void fold_frontend(FrontendResult& acc, const FrontendResult& r);
-
-/// Serialize as one JSON object on an open writer (fixed key order,
-/// integers exact). Inverse below round-trips bit-identically.
-void frontend_json(JsonWriter& w, const FrontendResult& f);
-bool frontend_from_value(const JsonValue& v, FrontendResult* out,
-                         std::string* err);
 
 }  // namespace irs::obs

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "src/obs/ledger.h"
+
 namespace irs::obs {
 
 // ---------------------------------------------------------------------------
@@ -212,28 +214,6 @@ std::size_t LatencyHistogram::memory_bytes() const {
   return sizeof(*this) + counts_.capacity() * sizeof(std::uint64_t);
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
-
 std::uint64_t LatencyHistogram::digest() const {
   std::uint64_t h = kFnvOffset;
   fnv(h, count_);
@@ -293,11 +273,6 @@ double burn_rate(const SloWindow& w, const SloSpec& spec) {
   return viol_frac / budget;
 }
 
-bool SloClassResult::operator==(const SloClassResult& o) const {
-  return name == o.name && spec == o.spec && total == o.total &&
-         windows == o.windows;
-}
-
 std::uint64_t SloResult::digest() const {
   if (classes.empty()) return 0;
   std::uint64_t h = kFnvOffset;
@@ -319,10 +294,6 @@ std::uint64_t SloResult::digest() const {
     }
   }
   return h;
-}
-
-bool SloResult::operator==(const SloResult& o) const {
-  return window == o.window && classes == o.classes;
 }
 
 // ---------------------------------------------------------------------------
@@ -399,6 +370,137 @@ SloResult SloTracker::result() const {
 }
 
 // ---------------------------------------------------------------------------
+// The LatencyHistogram field codec (shared with forensics)
+// ---------------------------------------------------------------------------
+
+void histogram_json_fields(JsonWriter& w, const LatencyHistogram& h) {
+  w.field("count", h.count());
+  w.field("sum_lo", h.sum_lo());
+  w.field("sum_hi", h.sum_hi());
+  w.field("min_ns", static_cast<std::int64_t>(h.min()));
+  w.field("max_ns", static_cast<std::int64_t>(h.max()));
+  w.key("buckets");
+  w.begin_array();
+  h.for_each_bucket([&w](int idx, std::uint64_t cnt) {
+    w.begin_array();
+    w.value(idx);
+    w.value(cnt);
+    w.end_array();
+  });
+  w.end_array();
+}
+
+namespace {
+
+bool slo_err(std::string* err, const std::string& msg) {
+  if (err != nullptr) *err = msg;
+  return false;
+}
+
+}  // namespace
+
+bool histogram_from_value(const JsonValue& v, const std::string& what,
+                          LatencyHistogram* out, std::string* err) {
+  std::uint64_t count = 0, sum_lo = 0, sum_hi = 0;
+  std::int64_t min_ns = 0, max_ns = 0;
+  const auto need = [&](const char* key, auto* dst) {
+    const JsonValue* f = v.find(key);
+    return (f != nullptr && f->get(dst)) ||
+           slo_err(err, what + ": missing '" + key + "'");
+  };
+  if (!need("count", &count) || !need("sum_lo", &sum_lo) ||
+      !need("sum_hi", &sum_hi) || !need("min_ns", &min_ns) ||
+      !need("max_ns", &max_ns)) {
+    return false;
+  }
+  const JsonValue* buckets = v.find("buckets");
+  if (buckets == nullptr || !buckets->is_array()) {
+    return slo_err(err, what + ": missing 'buckets'");
+  }
+  LatencyHistogram h;
+  for (const JsonValue& bv : buckets->items) {
+    std::int64_t idx = 0;
+    std::uint64_t cnt = 0;
+    if (!bv.is_array() || bv.items.size() != 2 || !bv.items[0].get(&idx) ||
+        !bv.items[1].get(&cnt)) {
+      return slo_err(err, what + ": bad bucket entry");
+    }
+    if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
+      return slo_err(err, what + ": bucket index out of range");
+    }
+    h.restore_bucket(static_cast<int>(idx), cnt);
+  }
+  h.restore_summary(count, sum_lo, sum_hi, min_ns, max_ns);
+  // The scans (percentile, count_above, merge) trust these invariants.
+  if (count > 0 && (min_ns < 0 || min_ns > max_ns)) {
+    return slo_err(err, what + ": 'min_ns'/'max_ns' out of order");
+  }
+  unsigned __int128 total = 0;
+  bool outside = false;
+  h.for_each_bucket([&](int idx, std::uint64_t cnt) {
+    total += cnt;
+    outside = outside || idx < LatencyHistogram::bucket_index(min_ns) ||
+              idx > LatencyHistogram::bucket_index(max_ns);
+  });
+  if (total != count) {
+    return slo_err(err, what + ": bucket counts do not sum to 'count'");
+  }
+  if (outside) {
+    return slo_err(err, what + ": nonzero bucket outside [min_ns, max_ns]");
+  }
+  *out = std::move(h);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Sweep fold
+// ---------------------------------------------------------------------------
+
+void fold_slo(SloResult& acc, const SloResult& r) {
+  if (r.empty()) return;
+  if (acc.empty()) {
+    acc = r;
+    return;
+  }
+  for (const SloClassResult& c : r.classes) {
+    SloClassResult* dst = nullptr;
+    for (SloClassResult& d : acc.classes) {
+      if (d.name == c.name) {
+        dst = &d;
+        break;
+      }
+    }
+    if (dst == nullptr) {
+      acc.classes.push_back(c);
+      continue;
+    }
+    dst->total.merge(c.total);
+    for (const SloWindow& w : c.windows) {
+      SloWindow* dw = nullptr;
+      for (SloWindow& x : dst->windows) {
+        if (x.index == w.index) {
+          dw = &x;
+          break;
+        }
+      }
+      if (dw == nullptr) {
+        dst->windows.push_back(w);
+      } else {
+        dw->count += w.count;
+        dw->violations += w.violations;
+        dw->p50 = std::max(dw->p50, w.p50);
+        dw->p99 = std::max(dw->p99, w.p99);
+        dw->p999 = std::max(dw->p999, w.p999);
+      }
+    }
+    std::sort(dst->windows.begin(), dst->windows.end(),
+              [](const SloWindow& a, const SloWindow& b) {
+                return a.index < b.index;
+              });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // JSON
 // ---------------------------------------------------------------------------
 
@@ -412,20 +514,7 @@ void slo_result_json(JsonWriter& w, const SloResult& s) {
     w.field("name", c.name);
     w.field("threshold_ns", static_cast<std::int64_t>(c.spec.threshold));
     w.field("objective", c.spec.objective);
-    w.field("count", c.total.count());
-    w.field("sum_lo", c.total.sum_lo());
-    w.field("sum_hi", c.total.sum_hi());
-    w.field("min_ns", static_cast<std::int64_t>(c.total.min()));
-    w.field("max_ns", static_cast<std::int64_t>(c.total.max()));
-    w.key("buckets");
-    w.begin_array();
-    c.total.for_each_bucket([&w](int idx, std::uint64_t cnt) {
-      w.begin_array();
-      w.value(idx);
-      w.value(cnt);
-      w.end_array();
-    });
-    w.end_array();
+    histogram_json_fields(w, c.total);
     w.key("windows");
     w.begin_array();
     for (const SloWindow& win : c.windows) {
@@ -445,15 +534,6 @@ void slo_result_json(JsonWriter& w, const SloResult& s) {
   w.end_object();
 }
 
-namespace {
-
-bool slo_err(std::string* err, const std::string& msg) {
-  if (err != nullptr) *err = msg;
-  return false;
-}
-
-}  // namespace
-
 bool slo_result_from_value(const JsonValue& v, SloResult* out,
                            std::string* err) {
   if (!v.is_object()) return slo_err(err, "slo is not a JSON object");
@@ -471,8 +551,7 @@ bool slo_result_from_value(const JsonValue& v, SloResult* out,
   for (const JsonValue& cv : classes->items) {
     if (!cv.is_object()) return slo_err(err, "slo: class is not an object");
     SloClassResult c;
-    std::int64_t threshold = 0, min_ns = 0, max_ns = 0;
-    std::uint64_t count = 0, sum_lo = 0, sum_hi = 0;
+    std::int64_t threshold = 0;
     if ((f = cv.find("name")) == nullptr || !f->get(&c.name)) {
       return slo_err(err, "slo class: missing 'name'");
     }
@@ -484,38 +563,7 @@ bool slo_result_from_value(const JsonValue& v, SloResult* out,
       return slo_err(err, "slo class: missing 'objective'");
     }
     c.spec.threshold = threshold;
-    if ((f = cv.find("count")) == nullptr || !f->get(&count)) {
-      return slo_err(err, "slo class: missing 'count'");
-    }
-    if ((f = cv.find("sum_lo")) == nullptr || !f->get(&sum_lo)) {
-      return slo_err(err, "slo class: missing 'sum_lo'");
-    }
-    if ((f = cv.find("sum_hi")) == nullptr || !f->get(&sum_hi)) {
-      return slo_err(err, "slo class: missing 'sum_hi'");
-    }
-    if ((f = cv.find("min_ns")) == nullptr || !f->get(&min_ns)) {
-      return slo_err(err, "slo class: missing 'min_ns'");
-    }
-    if ((f = cv.find("max_ns")) == nullptr || !f->get(&max_ns)) {
-      return slo_err(err, "slo class: missing 'max_ns'");
-    }
-    const JsonValue* buckets = cv.find("buckets");
-    if (buckets == nullptr || !buckets->is_array()) {
-      return slo_err(err, "slo class: missing 'buckets'");
-    }
-    for (const JsonValue& bv : buckets->items) {
-      std::int64_t idx = 0;
-      std::uint64_t cnt = 0;
-      if (!bv.is_array() || bv.items.size() != 2 ||
-          !bv.items[0].get(&idx) || !bv.items[1].get(&cnt)) {
-        return slo_err(err, "slo class: bad bucket entry");
-      }
-      if (idx < 0 || idx >= LatencyHistogram::kNumBuckets) {
-        return slo_err(err, "slo class: bucket index out of range");
-      }
-      c.total.restore_bucket(static_cast<int>(idx), cnt);
-    }
-    c.total.restore_summary(count, sum_lo, sum_hi, min_ns, max_ns);
+    if (!histogram_from_value(cv, "slo class", &c.total, err)) return false;
     const JsonValue* windows = cv.find("windows");
     if (windows == nullptr || !windows->is_array()) {
       return slo_err(err, "slo class: missing 'windows'");

@@ -143,9 +143,7 @@ struct SloSpec {
 
   /// Allowed violation fraction (the error budget per window).
   [[nodiscard]] double budget() const { return 1.0 - objective; }
-  bool operator==(const SloSpec& o) const {
-    return threshold == o.threshold && objective == o.objective;
-  }
+  bool operator==(const SloSpec& o) const = default;
 };
 
 /// One closed tumbling window of one class: counts are exact integers,
@@ -158,11 +156,7 @@ struct SloWindow {
   sim::Duration p99 = 0;
   sim::Duration p999 = 0;
 
-  bool operator==(const SloWindow& o) const {
-    return index == o.index && count == o.count &&
-           violations == o.violations && p50 == o.p50 && p99 == o.p99 &&
-           p999 == o.p999;
-  }
+  bool operator==(const SloWindow& o) const = default;
 };
 
 /// Error-budget burn rate of a window: observed violation fraction over
@@ -180,7 +174,7 @@ struct SloClassResult {
   [[nodiscard]] std::uint64_t violations() const {
     return total.count_above(spec.threshold);
   }
-  bool operator==(const SloClassResult& o) const;
+  bool operator==(const SloClassResult& o) const = default;
 };
 
 /// The full SLO capture of one run — what RunResult carries, result_json
@@ -193,7 +187,7 @@ struct SloResult {
   /// FNV-1a over window length and every class (name, spec, histogram
   /// digest, windows). 0 is reserved for the empty result.
   [[nodiscard]] std::uint64_t digest() const;
-  bool operator==(const SloResult& o) const;
+  bool operator==(const SloResult& o) const = default;
 };
 
 /// Aggregates per-class request latencies into tumbling windows aligned to
@@ -244,6 +238,27 @@ class SloTracker {
   sim::Duration window_;
   std::vector<ClassState> classes_;
 };
+
+/// The LatencyHistogram field codec shared by the SLO and forensics
+/// blocks: appends "count","sum_lo","sum_hi","min_ns","max_ns" and
+/// "buckets":[[idx,count],..] to an object already open on `w`.
+void histogram_json_fields(JsonWriter& w, const LatencyHistogram& h);
+
+/// Inverse of histogram_json_fields over the enclosing object `v`. Rejects,
+/// with an error prefixed by `what`, any block that breaks the invariants
+/// the histogram's scans rely on: bucket counts that do not sum to count,
+/// min > max or min < 0 when count > 0, and nonzero buckets outside
+/// [bucket_index(min), bucket_index(max)].
+bool histogram_from_value(const JsonValue& v, const std::string& what,
+                          LatencyHistogram* out, std::string* err);
+
+/// Fold one run's SLO capture into `acc`: classes match by name, totals
+/// merge bucket-exact (integer histogram fold — order- and
+/// grouping-independent), windows merge by index summing count/violations
+/// and keeping the max percentile (a conservative "worst run" envelope:
+/// percentiles of disjoint streams do not average). Shared by
+/// exp::average_results and exp::SweepStats.
+void fold_slo(SloResult& acc, const SloResult& r);
 
 /// Serialize `s` as one JSON object on an open writer (fixed key order,
 /// integers exact, objective in round-trip form):

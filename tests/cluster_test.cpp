@@ -66,13 +66,13 @@ TEST(ClusterLedger, FoldIsExactAndOrderIndependent) {
   const std::vector<obs::ClusterResult> runs = {
       synth_cluster(0), synth_cluster(1), synth_cluster(2), synth_cluster(5)};
   obs::ClusterResult fwd;
-  for (const auto& r : runs) obs::fold_cluster(fwd, r);
+  for (const auto& r : runs) obs::ledger_fold(fwd, r);
   obs::ClusterResult rev;
   for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-    obs::fold_cluster(rev, *it);
+    obs::ledger_fold(rev, *it);
   }
   EXPECT_EQ(fwd, rev);
-  EXPECT_EQ(fwd.digest(), rev.digest());
+  EXPECT_EQ(obs::ledger_digest(fwd), obs::ledger_digest(rev));
   // Counters add exactly; n_hosts/policy take the max; hosts grow to the
   // widest run.
   EXPECT_EQ(fwd.n_hosts, 3u);
@@ -86,45 +86,47 @@ TEST(ClusterLedger, FoldIsExactAndOrderIndependent) {
   EXPECT_EQ(fwd.hosts[2].placed, (1 + 2 + 1) + (1 + 2 + 5));
   // Folding an empty result is a no-op.
   const obs::ClusterResult before = fwd;
-  obs::fold_cluster(fwd, obs::ClusterResult{});
+  obs::ledger_fold(fwd, obs::ClusterResult{});
   EXPECT_EQ(fwd, before);
 }
 
 TEST(ClusterLedger, DigestIsZeroOnlyWhenEmptyAndFieldSensitive) {
   EXPECT_TRUE(obs::ClusterResult{}.empty());
-  EXPECT_EQ(obs::ClusterResult{}.digest(), 0u);
+  EXPECT_EQ(obs::ledger_digest(obs::ClusterResult{}), 0u);
   const obs::ClusterResult base = synth_cluster(3);
   EXPECT_FALSE(base.empty());
-  EXPECT_NE(base.digest(), 0u);
+  EXPECT_NE(obs::ledger_digest(base), 0u);
   // Any single-field perturbation moves the digest.
   auto perturbed = [&](auto&& mutate) {
     obs::ClusterResult c = base;
     mutate(c);
-    return c.digest();
+    return obs::ledger_digest(c);
   };
-  EXPECT_NE(perturbed([](auto& c) { c.policy ^= 1; }), base.digest());
-  EXPECT_NE(perturbed([](auto& c) { c.migrations += 1; }), base.digest());
-  EXPECT_NE(perturbed([](auto& c) { c.downtime_total += 1; }), base.digest());
-  EXPECT_NE(perturbed([](auto& c) { c.hosts[1].steal += 1; }), base.digest());
-  EXPECT_NE(perturbed([](auto& c) { c.hosts.pop_back(); }), base.digest());
+  const std::uint64_t d = obs::ledger_digest(base);
+  EXPECT_NE(perturbed([](auto& c) { c.policy ^= 1; }), d);
+  EXPECT_NE(perturbed([](auto& c) { c.migrations += 1; }), d);
+  EXPECT_NE(perturbed([](auto& c) { c.downtime_total += 1; }), d);
+  EXPECT_NE(perturbed([](auto& c) { c.hosts[1].steal += 1; }), d);
+  EXPECT_NE(perturbed([](auto& c) { c.hosts.pop_back(); }), d);
 }
 
 TEST(ClusterLedger, JsonRoundTripsBitIdentical) {
   for (const std::uint64_t i : {0ULL, 1ULL, 4ULL}) {
     const obs::ClusterResult c = synth_cluster(i);
     obs::JsonWriter w(obs::JsonWriter::Doubles::kRoundTrip);
-    obs::cluster_json(w, c);
+    obs::ledger_json(w, c);
     obs::JsonReader reader;
     obs::JsonValue v;
     ASSERT_TRUE(reader.parse(w.str(), &v)) << reader.error();
     obs::ClusterResult parsed;
     std::string err;
-    ASSERT_TRUE(obs::cluster_from_value(v, &parsed, &err)) << err;
+    ASSERT_TRUE(obs::ledger_from_value(v, "cluster", &parsed, &err))
+        << err;
     EXPECT_EQ(parsed, c);
-    EXPECT_EQ(parsed.digest(), c.digest());
+    EXPECT_EQ(obs::ledger_digest(parsed), obs::ledger_digest(c));
     // Re-emitting the parsed ledger reproduces the exact bytes.
     obs::JsonWriter w2(obs::JsonWriter::Doubles::kRoundTrip);
-    obs::cluster_json(w2, parsed);
+    obs::ledger_json(w2, parsed);
     EXPECT_EQ(w2.str(), w.str());
   }
 }
@@ -136,11 +138,11 @@ TEST(ClusterLedger, JsonRejectsMalformedWithNamedErrors) {
   std::string err;
   // Not an object.
   ASSERT_TRUE(reader.parse("[1,2]", &v));
-  EXPECT_FALSE(obs::cluster_from_value(v, &out, &err));
+  EXPECT_FALSE(obs::ledger_from_value(v, "cluster", &out, &err));
   EXPECT_EQ(err.find("cluster"), 0u) << err;
   // Missing a required counter.
   ASSERT_TRUE(reader.parse(R"({"n_hosts":2,"policy":1})", &v));
-  EXPECT_FALSE(obs::cluster_from_value(v, &out, &err));
+  EXPECT_FALSE(obs::ledger_from_value(v, "cluster", &out, &err));
   EXPECT_NE(err.find("cluster: missing or bad"), std::string::npos) << err;
   // A host row with the wrong arity is rejected, not zero-filled.
   ASSERT_TRUE(reader.parse(
@@ -148,8 +150,18 @@ TEST(ClusterLedger, JsonRejectsMalformedWithNamedErrors) {
       R"("migrations":0,"in_transit_end":0,"downtime_total_ns":0,)"
       R"("hosts":[[1,0,0,1,5,0,0]]})",
       &v));
-  EXPECT_FALSE(obs::cluster_from_value(v, &out, &err));
+  EXPECT_FALSE(obs::ledger_from_value(v, "cluster", &out, &err));
   EXPECT_NE(err.find("8-element"), std::string::npos) << err;
+  // A value past the field type's range is rejected, not truncated:
+  // 2^32 + 2 must not read back as n_hosts == 2.
+  ASSERT_TRUE(reader.parse(
+      R"({"n_hosts":4294967298,"policy":0,"vms":1,"migratable":0,)"
+      R"("decisions":0,"migrations":0,"in_transit_end":0,)"
+      R"("downtime_total_ns":0,"hosts":[]})",
+      &v));
+  EXPECT_FALSE(obs::ledger_from_value(v, "cluster", &out, &err));
+  EXPECT_NE(err.find("cluster: missing or bad 'n_hosts'"), std::string::npos)
+      << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +273,7 @@ TEST(ClusterMigration, ConservationIdentitiesHoldAcrossMigrations) {
   EXPECT_EQ(out, c.migrations);
   // The ledger digest in the result is live and recomputable.
   EXPECT_NE(r.cluster_digest, 0u);
-  EXPECT_EQ(r.cluster_digest, c.digest());
+  EXPECT_EQ(r.cluster_digest, obs::ledger_digest(c));
   // The per-host scheduler's own migration counter (foreground kernel) is
   // unrelated to cluster migrations — Baseline keeps it at zero.
   EXPECT_EQ(r.irs_migrations, 0u);
@@ -397,8 +409,8 @@ TEST(ClusterDeterminism, TwoShardNdjsonFoldsBitIdenticallyInEitherOrder) {
   EXPECT_EQ(a.cluster_digest_xor(),
             runs[0].cluster_digest ^ runs[1].cluster_digest);
   obs::ClusterResult direct;
-  obs::fold_cluster(direct, runs[0].cluster);
-  obs::fold_cluster(direct, runs[1].cluster);
+  obs::ledger_fold(direct, runs[0].cluster);
+  obs::ledger_fold(direct, runs[1].cluster);
   EXPECT_EQ(a.cluster(), direct);
 }
 

@@ -114,7 +114,7 @@ RunResult synth(std::uint64_t i) {
   fe.queue_wait_total = static_cast<sim::Duration>(123457 * (i + 1));
   fe.queue_wait_max = static_cast<sim::Duration>(90001 + 11 * i);
   r.frontend = fe;
-  r.frontend_digest = r.frontend.digest();
+  r.frontend_digest = obs::ledger_digest(r.frontend);
   // A synthetic cluster placement ledger (every counter i-dependent, the
   // conservation identities intact) so shard lines, merge, and the golden
   // fixture cover the cluster block and its digest.
@@ -144,7 +144,7 @@ RunResult synth(std::uint64_t i) {
   h1.steal = static_cast<sim::Duration>(1009 * (i + 1));
   cl.hosts = {h0, h1};
   r.cluster = cl;
-  r.cluster_digest = r.cluster.digest();
+  r.cluster_digest = obs::ledger_digest(r.cluster);
   return r;
 }
 

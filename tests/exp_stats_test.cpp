@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "src/exp/report.h"
 #include "src/exp/shard.h"
 #include "src/exp/stats.h"
+#include "src/exp/sweep.h"
 #include "src/sim/rng.h"
 
 namespace {
@@ -280,6 +283,61 @@ TEST(NdjsonFold, ConcatenatedShardFilesFoldAsOneStream) {
   EXPECT_EQ(rep.headers, 3u);
   EXPECT_EQ(rep.results, 6u);
   EXPECT_EQ(stats.runs(), 6u);
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(IRS_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The streaming fold and the seed average of the golden merged sweep are
+/// pinned byte-for-byte: every SweepStats metric, every block fold (slo,
+/// forensics, frontend, cluster) and every average_results combine rule
+/// shows up in one of the two lines. Regenerate after an intentional change
+/// with IRS_REGEN_GOLDEN=1 ./irs_tests --gtest_filter=SweepStatsGolden.*
+TEST(SweepStatsGolden, FoldAndAverageOfMergedFixtureMatchByteForByte) {
+  const std::string merged = read_golden("sweep_merged.ndjson");
+  ASSERT_FALSE(merged.empty()) << "missing golden sweep_merged.ndjson";
+  std::istringstream in(merged);
+  exp::SweepStats stats;
+  const exp::NdjsonFoldReport rep = exp::fold_ndjson_stream(in, &stats);
+  ASSERT_TRUE(rep.ok());
+  ASSERT_GT(rep.results, 1u);
+
+  std::vector<exp::RunResult> results;
+  std::istringstream lines(merged);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"run\":") == std::string::npos) continue;
+    std::size_t idx = 0;
+    exp::RunResult r;
+    std::string err;
+    ASSERT_TRUE(exp::parse_shard_line(line, &idx, &r, &err)) << err;
+    results.push_back(r);
+  }
+  ASSERT_EQ(results.size(), rep.results);
+
+  const std::string got = exp::sweep_stats_json(stats) + "\n" +
+                          exp::result_json(exp::average_results(results)) +
+                          "\n";
+  const std::string path =
+      std::string(IRS_GOLDEN_DIR) + "/sweep_stats.json";
+  if (std::getenv("IRS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << got;
+    ASSERT_TRUE(out.good()) << "could not regenerate " << path;
+    GTEST_SKIP() << "regenerated sweep_stats.json";
+  }
+  const std::string want = read_golden("sweep_stats.json");
+  ASSERT_FALSE(want.empty())
+      << "missing golden file sweep_stats.json (run with "
+         "IRS_REGEN_GOLDEN=1 to create)";
+  EXPECT_EQ(got, want)
+      << "sweep stats drifted from the golden fixture; if intentional, "
+         "regenerate with IRS_REGEN_GOLDEN=1";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/report.h"
@@ -265,6 +266,55 @@ TEST(ForensicsJson, RejectsMalformedFields) {
       &v));
   EXPECT_FALSE(obs::forensics_from_value(v, &out, &err));
   EXPECT_FALSE(err.empty());
+
+  // Cause histograms that break the histogram invariants, and a cause
+  // named twice (which would silently overwrite the first). The
+  // well-formed block parses; each variant breaks one thing.
+  const auto block = [](const std::string& causes) {
+    return R"({"window_ns":30000000,"head_truncated_at":-1,"classes":[)"
+           R"({"name":"x","threshold_ns":10,"objective":0.999,"spans":2,)"
+           R"("truncated":0,"open":0,"causes":[)" +
+           causes + R"(],"windows":[]}]})";
+  };
+  const auto cause = [](const char* name, const std::string& hist) {
+    return std::string(R"({"name":")") + name + R"(",)" + hist + "}";
+  };
+  const std::string good =
+      R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":10,"max_ns":20,)"
+      R"("buckets":[[10,1],[20,1]])";
+  ASSERT_TRUE(reader.parse(block(cause("run", good)), &v));
+  EXPECT_TRUE(obs::forensics_from_value(v, &out, &err)) << err;
+  const std::pair<std::string, const char*> broken[] = {
+      // count != sum of bucket counts
+      {cause("run",
+             R"("count":3,"sum_lo":30,"sum_hi":0,"min_ns":10,"max_ns":20,)"
+             R"("buckets":[[10,1],[20,1]])"),
+       "do not sum"},
+      // min > max
+      {cause("run",
+             R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":25,"max_ns":20,)"
+             R"("buckets":[[10,1],[20,1]])"),
+       "out of order"},
+      // min < 0
+      {cause("run",
+             R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":-1,"max_ns":20,)"
+             R"("buckets":[[10,1],[20,1]])"),
+       "out of order"},
+      // a nonzero bucket below bucket_index(min)
+      {cause("run",
+             R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":10,"max_ns":20,)"
+             R"("buckets":[[5,1],[20,1]])"),
+       "outside"},
+      // one cause named twice
+      {cause("lhp", good) + "," + cause("lhp", good), "duplicate 'lhp'"},
+  };
+  for (const auto& [causes, want] : broken) {
+    ASSERT_TRUE(reader.parse(block(causes), &v)) << causes;
+    err.clear();
+    EXPECT_FALSE(obs::forensics_from_value(v, &out, &err)) << causes;
+    EXPECT_NE(err.find("forensics cause: "), std::string::npos) << err;
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+  }
 }
 
 // --- sweep fold ------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/report.h"
@@ -304,6 +305,44 @@ TEST(SloJson, RejectsMalformedFields) {
       "{\"window_ns\":30000000,\"classes\":[{\"name\":\"x\"}]}", &v));
   EXPECT_FALSE(obs::slo_result_from_value(v, &out, &err));
   EXPECT_FALSE(err.empty());
+
+  // Histogram blocks that break the invariants the scans rely on. The
+  // well-formed block parses; each variant breaks one invariant.
+  const auto block = [](const std::string& hist) {
+    return R"({"window_ns":30000000,"classes":[{"name":"x",)"
+           R"("threshold_ns":10,"objective":0.999,)" +
+           hist + R"(,"windows":[]}]})";
+  };
+  ASSERT_TRUE(reader.parse(
+      block(R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":10,"max_ns":20,)"
+            R"("buckets":[[10,1],[20,1]])"),
+      &v));
+  EXPECT_TRUE(obs::slo_result_from_value(v, &out, &err)) << err;
+  const std::pair<const char*, const char*> broken[] = {
+      // count != sum of bucket counts
+      {R"("count":3,"sum_lo":30,"sum_hi":0,"min_ns":10,"max_ns":20,)"
+       R"("buckets":[[10,1],[20,1]])",
+       "do not sum"},
+      // min > max
+      {R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":25,"max_ns":20,)"
+       R"("buckets":[[10,1],[20,1]])",
+       "out of order"},
+      // min < 0
+      {R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":-1,"max_ns":20,)"
+       R"("buckets":[[10,1],[20,1]])",
+       "out of order"},
+      // a nonzero bucket above bucket_index(max)
+      {R"("count":2,"sum_lo":30,"sum_hi":0,"min_ns":10,"max_ns":20,)"
+       R"("buckets":[[10,1],[30,1]])",
+       "outside"},
+  };
+  for (const auto& [hist, want] : broken) {
+    ASSERT_TRUE(reader.parse(block(hist), &v)) << hist;
+    err.clear();
+    EXPECT_FALSE(obs::slo_result_from_value(v, &out, &err)) << hist;
+    EXPECT_NE(err.find("slo class: "), std::string::npos) << err;
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+  }
 }
 
 // --- end-to-end through the runner ---------------------------------------
