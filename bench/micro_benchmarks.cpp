@@ -30,18 +30,16 @@ void BM_EngineCancel(benchmark::State& state) {
   sim::Engine eng;
   for (auto _ : state) {
     auto h = eng.schedule(1000, [] {});
-    h.cancel();
+    h.cancel();  // erases the queue entry: nothing is left to drain
   }
-  // Drain the cancelled shells.
-  eng.run_until(eng.now() + 10000);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineCancel);
 
 /// The combined hot-path churn BENCH_sweep.json tracks: each iteration
 /// schedules one event that fires and one that is cancelled, then
-/// dispatches — 3 engine operations. Exercises slot reuse, shell skipping,
-/// and inline callback storage together.
+/// dispatches — 3 engine operations. Exercises slot reuse, in-place erase
+/// on cancel, and inline callback storage together.
 void BM_EngineScheduleCancelDispatch(benchmark::State& state) {
   sim::Engine eng;
   std::uint64_t sink = 0;
@@ -56,6 +54,24 @@ void BM_EngineScheduleCancelDispatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(3 * state.iterations()));
 }
 BENCHMARK(BM_EngineScheduleCancelDispatch);
+
+/// The re-armed-timer shape the models run on (slice, tick, burst
+/// completion): a pending sim::Timer re-armed further out, then one
+/// dispatch of a companion event — 2 engine operations. The timer keeps
+/// its slot and callback, so re-arming moves one queue entry.
+void BM_TimerRearmDispatch(benchmark::State& state) {
+  sim::Engine eng;
+  std::uint64_t sink = 0;
+  sim::Timer timer(eng, [&] { ++sink; });
+  for (auto _ : state) {
+    timer.arm(1000);
+    eng.schedule(1, [&] { ++sink; });
+    eng.run_until(eng.now() + 2);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(2 * state.iterations()));
+}
+BENCHMARK(BM_TimerRearmDispatch);
 
 /// Deep-queue behaviour: keep 512 events in flight so extraction walks
 /// real structure depth (the slab keeps entries POD-sized; this is where

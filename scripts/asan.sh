@@ -3,8 +3,9 @@
 # and run the full unit suite plus the dedicated jobs registered under
 # -DIRS_SANITIZE=address: obs_pipeline_asan (the trace pipeline hands
 # pointers between staging buffers, the shared ring, and exporters),
-# engine_queue_asan (wheel buckets / due list / compaction move raw
-# 24-byte entries; nested runs re-enter the dispatch loop), and
+# engine_queue_asan (wheel buckets / due list / spill heap move raw
+# 24-byte entries and erase them in place by slot; nested runs and
+# Timer callbacks re-enter the dispatch loop), and
 # forensics_asan (the request-forensics replay indexes flat per-vCPU/task
 # state by trace ids and reads half-open spans after ring wrap, fuzzed
 # over randomized ring capacities), and frontend_asan (the bounded accept

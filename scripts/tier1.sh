@@ -15,6 +15,15 @@ cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-rel -j
 (cd build-rel && ctest --output-on-failure -j)
 
+# Debug build in its own tree: the only configuration without NDEBUG, so
+# the model's asserts (lock ownership, run-queue and vCPU state) run on the
+# whole suite here and nowhere else. A failing Debug suite fails the
+# script, but only after the remaining checks below have run.
+cmake -B build-dbg -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build build-dbg -j
+debug_status=0
+(cd build-dbg && ctest --output-on-failure -j) || debug_status=$?
+
 # Sharded-sweep round-trip: N local shard subprocesses merged must be
 # byte-identical to the single-process sweep.
 scripts/shard_roundtrip.sh
@@ -61,4 +70,9 @@ IRS_BENCH_FAST=1 ./build/bench/bench_report build/BENCH_tier1_smoke.json
 # IRS_TIER1_UBSAN=1 to run scripts/ubsan.sh as part of the tier-1 line.
 if [[ "${IRS_TIER1_UBSAN:-0}" == "1" ]]; then
   scripts/ubsan.sh
+fi
+
+if [[ "$debug_status" != "0" ]]; then
+  echo "tier1: the Debug (build-dbg/) test suite failed" >&2
+  exit "$debug_status"
 fi

@@ -191,6 +191,19 @@ bool HostNode::workloads_finished(hv::VmId vm) const {
   return workloads_finished(slot(vm, "workloads_finished"));
 }
 
+bool HostNode::run_until_finished(hv::VmId vm, sim::Time deadline) {
+  const Slot& s = slot(vm, "run_until_finished");
+  if (workloads_finished(s)) return true;
+  // Workloads finish only when a task does, so the check runs once per
+  // task completion instead of once per dispatched event.
+  s.kernel->set_on_task_finished([this, &s](guest::Task&) {
+    if (workloads_finished(s)) eng_.request_stop();
+  });
+  eng_.run_until_stopped(deadline);
+  s.kernel->set_on_task_finished(nullptr);
+  return workloads_finished(s);
+}
+
 sim::Duration HostNode::fair_share(const Slot& s,
                                    sim::Duration elapsed) const {
   // Pinned topology: each vCPU is entitled to an equal split of its pCPU

@@ -61,6 +61,13 @@ class HostNode {
   /// True when every bounded workload on `vm` has finished.
   [[nodiscard]] bool workloads_finished(hv::VmId vm) const;
 
+  /// Run the engine until `vm`'s workloads finish or the clock reaches
+  /// `deadline`; returns workloads_finished(vm). The run ends after the
+  /// event that finished the last task (the kernel's task-finished hook
+  /// raises an engine stop), or after the first event dispatched at or
+  /// past the deadline; nothing is dispatched if `vm` is already done.
+  bool run_until_finished(hv::VmId vm, sim::Time deadline);
+
   /// Summarise one VM's run since start().
   [[nodiscard]] VmMetrics vm_metrics(hv::VmId vm) const;
 

@@ -13,7 +13,11 @@
 namespace irs::guest {
 
 GuestCpu::GuestCpu(GuestKernel& kernel, int idx)
-    : kernel_(kernel), idx_(idx), steal_(kernel.config().steal_avg_tau) {
+    : kernel_(kernel),
+      idx_(idx),
+      op_done_(kernel.engine(), [this]() { on_op_complete(); }, "guest.op"),
+      tick_timer_(kernel.engine(), [this]() { on_tick(); }, "guest.tick"),
+      steal_(kernel.config().steal_avg_tau) {
   softirq_.set_handler(SoftirqNr::kTimer, [this]() { timer_softirq(); });
   softirq_.set_handler(SoftirqNr::kUpcall, [this]() { upcall_softirq(); });
   // Stagger the first periodic balance so CPUs don't all balance at once.
@@ -40,7 +44,7 @@ sim::Duration GuestCpu::cfs_slice() const {
 void GuestCpu::stop_exec() {
   if (!exec_active_) return;
   exec_active_ = false;
-  op_done_.cancel();
+  op_done_.disarm();
   assert(current_ != nullptr);
   Task& t = *current_;
   const sim::Duration delta = kernel_.engine().now() - exec_start_;
@@ -83,14 +87,24 @@ void GuestCpu::resume_current() {
     pending_overhead_ = 0;
     exec_start_ = kernel_.engine().now();
     exec_active_ = true;
-    op_done_ = kernel_.engine().schedule(
-        t.op_remaining, [this]() { on_op_complete(); }, "guest.op");
+    arm_op_done(t.op_remaining);
     return;
   }
   interpret();
 }
 
 void GuestCpu::begin_exec() { resume_current(); }
+
+void GuestCpu::arm_op_done(sim::Duration burst) {
+  // stop_exec() disarms the completion before the next burst starts, except
+  // when a delay-preempt lock-hint release stops the vCPU synchronously
+  // inside interpret(): the loop then starts a burst on the stopped vCPU,
+  // whose completion is still queued when the vCPU restarts the burst.
+  // That completion stays queued and fires on its own (detach), so the
+  // delay-preempt timeline does not change.
+  op_done_.detach([this]() { on_op_complete(); });
+  op_done_.arm(burst);
+}
 
 void GuestCpu::on_op_complete() {
   stop_exec();
@@ -142,8 +156,7 @@ void GuestCpu::interpret() {
         pending_overhead_ = 0;
         exec_start_ = kernel_.engine().now();
         exec_active_ = true;
-        op_done_ = kernel_.engine().schedule(
-            t.op_remaining, [this]() { on_op_complete(); }, "guest.op");
+        arm_op_done(t.op_remaining);
         return;
       }
       case ActionKind::kLock: {
@@ -215,9 +228,7 @@ void GuestCpu::interpret() {
       }
       case ActionKind::kSleep: {
         t.has_op = false;
-        Task* tp = &t;
-        t.sleep_timer = kernel_.engine().schedule(
-            a.dur, [this, tp]() { kernel_.wake_task(*tp); }, "guest.sleep");
+        t.sleep_timer.arm(a.dur);
         block_current(TaskState::kSleeping);
         return;
       }
@@ -443,10 +454,10 @@ void GuestCpu::on_vcpu_start() {
 void GuestCpu::on_vcpu_stop(hv::StopReason reason) {
   stop_exec();
   vcpu_running_ = false;
-  tick_timer_.cancel();
+  tick_timer_.disarm();
   sa_bh_timer_.cancel();
   resched_evt_.cancel();
-  op_done_.cancel();
+  op_done_.disarm();
   if (current_ != nullptr && current_->spin_waiting != nullptr) {
     kernel_.signal_spin(idx_, false);
   }
@@ -475,9 +486,7 @@ void GuestCpu::arm_idle_housekeeping() {
 // ---------------------------------------------------------------------------
 
 void GuestCpu::arm_tick() {
-  tick_timer_.cancel();
-  tick_timer_ = kernel_.engine().schedule(
-      kernel_.config().tick_period, [this]() { on_tick(); }, "guest.tick");
+  tick_timer_.arm(kernel_.config().tick_period);
 }
 
 void GuestCpu::on_tick() {

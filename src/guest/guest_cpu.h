@@ -107,6 +107,8 @@ class GuestCpu {
   void stop_exec();
   void resume_current();
   void on_op_complete();
+  /// Arm the completion of the current compute burst.
+  void arm_op_done(sim::Duration burst);
 
   /// Drive the current task's behaviour until it computes, blocks, spins,
   /// finishes, or is preempted.
@@ -158,8 +160,8 @@ class GuestCpu {
                                  // vruntime check
   bool lock_hint_ = false;       // last paravirtual lock hint sent
 
-  sim::EventHandle op_done_;
-  sim::EventHandle tick_timer_;
+  sim::Timer op_done_;     // compute-burst completion
+  sim::Timer tick_timer_;
   sim::EventHandle sa_bh_timer_;   // delayed UPCALL softirq processing
   sim::EventHandle resched_evt_;
   sim::EventHandle idle_poll_;     // housekeeping wake for blocked vCPUs

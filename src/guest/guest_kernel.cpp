@@ -60,6 +60,9 @@ Task& GuestKernel::create_task(std::string name, Behavior& behavior,
   tasks_.push_back(std::make_unique<Task>(id, std::move(name), &behavior,
                                           task_seed_rng_.fork()));
   Task& t = *tasks_.back();
+  Task* tp = &t;
+  t.sleep_timer =
+      sim::Timer(eng_, [this, tp]() { wake_task(*tp); }, "guest.sleep");
   t.set_cpu(initial_cpu != kNoCpu ? initial_cpu
                                   : id % static_cast<TaskId>(n_cpus()));
   return t;
@@ -141,7 +144,7 @@ void GuestKernel::wake_task(Task& t) {
     return;  // spurious wake (e.g. already woken through another path)
   }
   ++t.stats.wakeups;
-  t.sleep_timer.cancel();
+  t.sleep_timer.disarm();
   const int from = t.cpu();
   const int target = select_task_rq(t);
   if (target != from) {

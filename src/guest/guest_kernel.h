@@ -153,7 +153,8 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   [[nodiscard]] sim::Duration migration_penalty() const;
   void set_memory_intensity(double mi) { memory_intensity_ = mi; }
 
-  /// Called when any task finishes (workload completion tracking).
+  /// Called when any task finishes; HostNode::run_until_finished uses it to
+  /// stop the engine at workload completion (nullptr removes it).
   void set_on_task_finished(std::function<void(Task&)> cb) {
     on_finished_ = std::move(cb);
   }

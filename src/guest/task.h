@@ -89,8 +89,8 @@ class Task {
   /// Cache-locality debt added to the next compute burst after a migration.
   sim::Duration cache_debt = 0;
 
-  /// Timer for kSleep wake-ups.
-  sim::EventHandle sleep_timer;
+  /// Timer for kSleep wake-ups (bound by GuestKernel::create_task).
+  sim::Timer sleep_timer;
 
   TaskStats stats;
 

@@ -16,7 +16,27 @@ CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
       pcpus_(pcpus),
       vms_(vms),
       counters_(counters),
-      tbuf_(tbuf) {}
+      tbuf_(tbuf) {
+  for (auto& p : pcpus_) {
+    Pcpu* pp = &p;
+    p.slice_timer = sim::Timer(
+        eng_, [this, pp]() { request_resched(*pp); }, "hv.slice");
+    p.tick_timer =
+        sim::Timer(eng_, [this, pp]() { on_tick(*pp); }, "hv.tick");
+  }
+}
+
+void CreditScheduler::add_vcpu(Vcpu& v) {
+  Vcpu* vp = &v;
+  // Deliver vcpu_started once the world-switch cost has elapsed.
+  v.start_notice = sim::Timer(
+      eng_,
+      [vp]() {
+        vp->guest_active = true;
+        if (vp->vm().has_guest()) vp->vm().guest().vcpu_started(vp->idx());
+      },
+      "hv.vcpu_start");
+}
 
 const SchedStats& CreditScheduler::stats() const {
   stats_cache_.context_switches = counters_.fold_u(obs::Cnt::kHvCtxSwitches);
@@ -30,12 +50,8 @@ const SchedStats& CreditScheduler::stats() const {
 }
 
 void CreditScheduler::start() {
-  for (auto& p : pcpus_) {
-    Pcpu* pp = &p;
-    // Stagger nothing: ticks are per-pCPU but deterministic order by id.
-    std::function<void()> tick = [this, pp]() { on_tick(*pp); };
-    p.tick_timer = eng_.schedule(cfg_.tick_period, tick, "hv.tick");
-  }
+  // Stagger nothing: ticks are per-pCPU but deterministic order by id.
+  for (auto& p : pcpus_) p.tick_timer.arm(cfg_.tick_period);
   eng_.schedule(cfg_.accounting_period, [this]() { on_accounting(); },
                 "hv.acct");
 }
@@ -62,7 +78,8 @@ PcpuId CreditScheduler::cpu_pick(const Vcpu& v) const {
   //    VM-sibling-oblivious: blocking-sync vCPUs read deceptively idle, so
   //    several of them "fit" on one pCPU next to a full hog elsewhere —
   //    the CPU-stacking behaviour of §5.6.
-  std::vector<double> score(pcpus_.size(), 0.0);
+  std::vector<double>& score = score_;
+  score.assign(pcpus_.size(), 0.0);
   for (const Vm* vm : vms_) {
     for (const Vcpu* w : vm->vcpus()) {
       if (w == &v || w->resident() == kNoPcpu) continue;
@@ -120,7 +137,7 @@ void CreditScheduler::block(Vcpu& v) {
   v.set_state(VcpuState::kBlocked, eng_.now());
   v.set_pcpu(kNoPcpu);
   p.set_current(nullptr);
-  p.slice_timer.cancel();
+  p.slice_timer.disarm();
   tbuf_.record(eng_.now(), sim::TraceKind::kHvBlock, v.id(), p.id());
   request_resched(p);
 }
@@ -138,7 +155,7 @@ void CreditScheduler::yield(Vcpu& v) {
   v.set_state(VcpuState::kRunnable, eng_.now());
   v.set_pcpu(kNoPcpu);
   p.set_current(nullptr);
-  p.slice_timer.cancel();
+  p.slice_timer.disarm();
   p.enqueue(&v);  // tail of its priority class
   request_resched(p);
 }
@@ -161,7 +178,7 @@ void CreditScheduler::deschedule_current(Pcpu& p, StopReason reason) {
   cur->set_state(VcpuState::kRunnable, eng_.now());
   cur->set_pcpu(kNoPcpu);
   p.set_current(nullptr);
-  p.slice_timer.cancel();
+  p.slice_timer.disarm();
   p.enqueue(cur);
   // OVER means the vCPU burned through its credit share: the deschedule is
   // a credit throttle, not generic contention — forensics separates the two.
@@ -173,7 +190,7 @@ void CreditScheduler::notify_stopped(Vcpu& v, StopReason reason) {
   if (!v.guest_active) {
     // Preempted inside the world-switch window: the guest never saw the
     // vCPU start, so it must not see it stop either.
-    v.start_notice.cancel();
+    v.start_notice.disarm();
     return;
   }
   if (reason == StopReason::kPreempted && v.vm().has_guest()) {
@@ -208,21 +225,10 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
   p.set_current(next);
   tbuf_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
   // Slice-expiry timer.
-  p.slice_timer.cancel();
-  p.slice_timer = eng_.schedule(
-      cfg_.time_slice, [this, pp = &p]() { request_resched(*pp); },
-      "hv.slice");
+  p.slice_timer.arm(cfg_.time_slice);
   // Deliver vcpu_started after the world-switch cost.
-  next->start_notice.cancel();
   next->guest_active = false;
-  Vcpu* nv = next;
-  next->start_notice = eng_.schedule(
-      cfg_.vcpu_switch_cost,
-      [nv]() {
-        nv->guest_active = true;
-        if (nv->vm().has_guest()) nv->vm().guest().vcpu_started(nv->idx());
-      },
-      "hv.vcpu_start");
+  next->start_notice.arm(cfg_.vcpu_switch_cost);
 }
 
 Vcpu* CreditScheduler::steal_for(Pcpu& p) {
@@ -269,10 +275,7 @@ void CreditScheduler::do_schedule(Pcpu& p) {
       if (slice_expired) {
         // Nobody eligible to take over: renew the slice in place.
         cur->slice_start = eng_.now();
-        p.slice_timer.cancel();
-        p.slice_timer = eng_.schedule(
-            cfg_.time_slice, [this, pp = &p]() { request_resched(*pp); },
-            "hv.slice");
+        p.slice_timer.arm(cfg_.time_slice);
       }
       return;
     }
@@ -299,8 +302,7 @@ void CreditScheduler::on_tick(Pcpu& p) {
     // Idle pCPU with queued/stealable work (can happen transiently).
     request_resched(p);
   }
-  p.tick_timer = eng_.schedule(
-      cfg_.tick_period, [this, pp = &p]() { on_tick(*pp); }, "hv.tick");
+  p.tick_timer.arm(cfg_.tick_period);
 }
 
 void CreditScheduler::on_accounting() {

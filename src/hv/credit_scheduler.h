@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/hv/pcpu.h"
@@ -60,6 +59,9 @@ class CreditScheduler {
   CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                   std::vector<Pcpu>& pcpus, std::vector<Vm*>& vms,
                   obs::Counters& counters, obs::TraceBuffer& tbuf);
+
+  /// Bind `v`'s start-notice timer; call once per vCPU as it is created.
+  void add_vcpu(Vcpu& v);
 
   /// Arm the periodic tick and accounting timers. Call once.
   void start();
@@ -122,6 +124,8 @@ class CreditScheduler {
   obs::TraceBuffer& tbuf_;
   PreemptHook* hook_ = nullptr;
   mutable SchedStats stats_cache_;  // fold target for stats()
+  /// cpu_pick's per-pCPU load sums, reused so a wake never allocates.
+  mutable std::vector<double> score_;
 };
 
 }  // namespace irs::hv

@@ -81,6 +81,7 @@ Vm& Host::add_vm(const VmConfig& vm_cfg) {
       v.set_resident(static_cast<PcpuId>(i % n_pcpus()));
     }
     vm.attach_vcpu(&v);
+    sched_->add_vcpu(v);
   }
   hypercalls_.push_back(std::make_unique<VmHypercalls>(*this, vm, *evtchn_));
   return vm;

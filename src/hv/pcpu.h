@@ -56,10 +56,10 @@ class Pcpu {
 
   /// Pending one-shot resched event (coalesces schedule requests).
   bool sched_pending = false;
-  /// Slice-expiry timer for the running vCPU.
-  sim::EventHandle slice_timer;
-  /// Periodic credit-burn tick.
-  sim::EventHandle tick_timer;
+  /// Slice-expiry timer for the running vCPU (bound by CreditScheduler).
+  sim::Timer slice_timer;
+  /// Periodic credit-burn tick (bound by CreditScheduler).
+  sim::Timer tick_timer;
 
  private:
   PcpuId id_;

@@ -71,9 +71,9 @@ class Vcpu {
   /// delay-preemption baseline).
   bool lock_hint = false;
 
-  /// Cancellable deferred call that delivers GuestOs::vcpu_started after the
-  /// world-switch cost has elapsed.
-  sim::EventHandle start_notice;
+  /// Re-armable deferred call that delivers GuestOs::vcpu_started after the
+  /// world-switch cost has elapsed (bound by CreditScheduler::add_vcpu).
+  sim::Timer start_notice;
   /// True once vcpu_started was delivered for the current placement (the
   /// matching vcpu_stopped is only sent when this is set).
   bool guest_active = false;

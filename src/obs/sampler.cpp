@@ -7,7 +7,8 @@ namespace irs::obs {
 Sampler::Sampler(sim::Engine& eng, sim::Duration period, std::size_t capacity)
     : eng_(eng),
       period_(period > 0 ? period : kDefaultPeriod),
-      capacity_(capacity > 0 ? capacity : kDefaultCapacity) {}
+      capacity_(capacity > 0 ? capacity : kDefaultCapacity),
+      tick_timer_(eng, [this]() { tick(); }, "obs.sample") {}
 
 std::size_t Sampler::add_channel(std::string name, Desc d,
                                  std::function<std::int64_t()> fn) {
@@ -79,17 +80,17 @@ void Sampler::sample_now() {
 
 void Sampler::tick() {
   sample_now();
-  tick_evt_ = eng_.schedule(period_, [this]() { tick(); }, "obs.sample");
+  tick_timer_.arm(period_);
 }
 
 void Sampler::start() {
   if (started_) return;
   started_ = true;
-  tick_evt_ = eng_.schedule(period_, [this]() { tick(); }, "obs.sample");
+  tick_timer_.arm(period_);
 }
 
 void Sampler::stop() {
-  tick_evt_.cancel();
+  tick_timer_.disarm();
   started_ = false;
 }
 

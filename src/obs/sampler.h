@@ -171,7 +171,7 @@ class Sampler {
   std::vector<std::uint8_t> primed_;  // gauge: first observation pushes
   std::vector<std::function<std::int64_t()>> fns_;
   std::vector<Series> series_;
-  sim::EventHandle tick_evt_;
+  sim::Timer tick_timer_;
   bool started_ = false;
 };
 

@@ -17,7 +17,7 @@ EventHandle Engine::schedule_at(Time when, Callback fn, const char* label) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.label = label;
-  queue_->push(QEntry{when, next_seq_++, slot, s.gen});
+  queue_->push(QEntry{when, next_seq_++, slot});
   return EventHandle{this, slot, s.gen};
 }
 
@@ -35,60 +35,74 @@ void Engine::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
   s.label = "";
-  ++s.gen;  // invalidate every outstanding handle/queue entry (may wrap)
+  ++s.gen;  // every outstanding handle now reads spent (may wrap)
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
 void Engine::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   if (!event_pending(slot, gen)) return;
+  queue_->erase(slot);
   release_slot(slot);
-  ++cancelled_shells_;  // the queue entry stays behind as a stale shell
-  // The trigger (shells > size/2 with size >= kCompactMinQueue) requires
-  // more than kCompactShellFloor shells, so skip the queue-size query — a
-  // virtual call — until that is even possible.
-  if (cancelled_shells_ > kCompactShellFloor) {
-    const std::size_t sz = queue_->size();
-    if (cancelled_shells_ > sz / 2 && sz >= kCompactMinQueue) compact();
-  }
 }
 
-void Engine::compact() {
-  queue_->compact(
-      [](void* ctx, std::uint32_t slot, std::uint32_t gen) {
-        return static_cast<Engine*>(ctx)->event_pending(slot, gen);
-      },
-      this);
-  cancelled_shells_ = 0;  // compact removes exactly the stale shells
+std::uint32_t Engine::bind_timer(Timer::Body* body, const char* label) {
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].timer = body;
+  slots_[slot].label = label;
+  return slot;
 }
 
-bool Engine::peek_live(QEntry* out) {
-  while (queue_->peek(out)) {
-    if (event_pending(out->slot, out->gen)) return true;
-    queue_->pop(out);  // discard the stale shell
-    --cancelled_shells_;
-  }
-  return false;
+void Engine::unbind_timer(std::uint32_t slot, Timer::Body* body) {
+  if (body->armed) queue_->erase(slot);
+  slots_[slot].timer = nullptr;
+  release_slot(slot);
+}
+
+void Engine::arm_timer(std::uint32_t slot, Timer::Body* body, Time when) {
+  if (when < now_) when = now_;
+  if (body->armed) queue_->erase(slot);
+  body->armed = true;
+  queue_->push(QEntry{when, next_seq_++, slot});
+}
+
+void Engine::disarm_timer(std::uint32_t slot, Timer::Body* body) {
+  queue_->erase(slot);
+  body->armed = false;
+}
+
+std::uint32_t Engine::detach_timer(std::uint32_t slot, Timer::Body* body,
+                                   Callback fn) {
+  const std::uint32_t fresh = acquire_slot();
+  slots_[fresh].timer = body;
+  slots_[fresh].label = slots_[slot].label;
+  // The queued entry keeps its slot, which now holds a scheduled event.
+  slots_[slot].timer = nullptr;
+  slots_[slot].fn = std::move(fn);
+  body->armed = false;
+  return fresh;
 }
 
 bool Engine::dispatch_next(Time deadline) {
   QEntry e;
-  while (queue_->pop_until(deadline, &e)) {
-    if (!event_pending(e.slot, e.gen)) {
-      --cancelled_shells_;  // discard the stale shell
-      continue;
-    }
-    // Move the callback out and free the slot *before* invoking: the
-    // callback may itself schedule (reusing this slot) or cancel, and a
-    // handle to this event must already read !pending() while it runs.
-    Callback fn = std::move(slots_[e.slot].fn);
-    release_slot(e.slot);
-    now_ = e.when;
-    ++dispatched_;
-    fn();
+  if (!queue_->pop_until(deadline, &e)) return false;
+  now_ = e.when;
+  ++dispatched_;
+  Slot& s = slots_[e.slot];
+  if (Timer::Body* timer = s.timer) {
+    // The callback stays where it is: the body is heap-pinned, so the
+    // callback may re-arm the timer or grow the slot pool while it runs.
+    timer->armed = false;
+    timer->fn();
     return true;
   }
-  return false;
+  // Move the callback out and free the slot *before* invoking: the
+  // callback may itself schedule (reusing this slot) or cancel, and a
+  // handle to this event must already read !pending() while it runs.
+  Callback fn = std::move(s.fn);
+  release_slot(e.slot);
+  fn();
+  return true;
 }
 
 // Counts are taken from dispatched_ so events fired by nested runs inside
@@ -107,8 +121,7 @@ Engine::RunOutcome Engine::run(std::uint64_t max_events) {
   }
   RunOutcome out;
   out.dispatched = dispatched_ - start;
-  QEntry e;
-  if (out.dispatched >= max_events && peek_live(&e)) {
+  if (out.dispatched >= max_events && queue_->size() > 0) {
     out.budget_exhausted = true;
     if (trace_ != nullptr) {
       trace_->record(now_, TraceKind::kEngineStop, -1, -1,
@@ -118,11 +131,12 @@ Engine::RunOutcome Engine::run(std::uint64_t max_events) {
   return out;
 }
 
-bool Engine::run_while(const std::function<bool()>& keep_going) {
-  while (keep_going()) {
-    if (!dispatch_next(kTimeMax)) return false;  // drained before the flip
+bool Engine::run_until_stopped(Time deadline) {
+  while (!stop_requested_ && now_ < deadline && dispatch_next(kTimeMax)) {
   }
-  return true;
+  const bool stopped = stop_requested_;
+  stop_requested_ = false;
+  return stopped;
 }
 
 }  // namespace irs::sim

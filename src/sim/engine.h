@@ -10,28 +10,31 @@
 //   * callbacks live in a slab of reusable `Slot`s, each holding a
 //     small-buffer-optimised `InlineFn` — no per-event heap allocation in
 //     steady state;
-//   * the queue stores 24-byte POD entries {when, seq, slot, gen} behind
-//     the sim::EventQueue interface (src/sim/event_queue.h). The default
+//   * the queue stores 24-byte POD entries {when, seq, slot} behind the
+//     sim::EventQueue interface (src/sim/event_queue.h). The default
 //     backend is a fixed-geometry near-future timer wheel (131 µs buckets,
 //     ~67 ms horizon) that absorbs the dense periodic tick/slice/softirq
-//     traffic in O(1) and spills the rest to a 4-ary heap; the original
-//     binary heap remains available as the reference oracle. All backends
-//     dispatch in the identical {when, seq} order, so traces are
+//     traffic in O(1) and spills the rest to an indexed 4-ary heap; an
+//     indexed binary heap remains available as the reference backend. All
+//     backends dispatch in the identical {when, seq} order, so traces are
 //     bit-identical across them;
-//   * run(), run_until() and run_while() share one single-pop loop: pop the
-//     earliest due entry (one virtual call), skip it if it is a stale
-//     shell, otherwise dispatch it. The queue holds every pending entry at
-//     all times, so callbacks may schedule, cancel, or start a nested run
-//     freely;
-//   * cancellation bumps the slot's generation counter, instantly
-//     invalidating every outstanding handle and leaving a stale "shell"
-//     entry in the queue that dispatch skips. When shells outnumber half
-//     the queue — counting shells parked in wheel buckets, not just the
-//     heap — the engine compacts them away in one O(n) pass.
+//   * cancellation erases the event's queue entry in place and frees its
+//     slot, bumping the slot's generation counter so every outstanding
+//     handle reads spent. The queue holds exactly the pending events, so
+//     dispatch never meets a stale entry;
+//   * a `Timer` owns one slot and one callback for its whole life. Arming
+//     it erases and re-pushes its single entry, and dispatch invokes the
+//     callback in place — the shape of Xen's set_timer/stop_timer;
+//   * run(), run_until() and run_until_stopped() share one single-pop
+//     loop: pop the earliest due entry (one virtual call) and dispatch it.
+//     Callbacks may schedule, cancel, arm timers, or start a nested run
+//     freely. run_until_stopped() ends after the event whose callback
+//     called request_stop(), so a caller waiting for a condition raises
+//     the stop where the condition becomes true instead of polling it per
+//     dispatch.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -84,6 +87,73 @@ class EventHandle {
   std::uint32_t gen_ = 0;
 };
 
+/// A re-armable one-shot timer with one fixed callback, for the timers a
+/// model re-arms constantly (slice, tick, burst completion). It holds one
+/// engine pool slot for its whole life, so arm()/disarm() only move its
+/// single queue entry, and dispatch invokes the callback in place.
+///
+/// Ordering is exactly that of cancel-then-schedule: every arm draws the
+/// next schedule sequence number, so a re-armed timer fires after events
+/// already queued for the same instant. pending() reads false while the
+/// callback runs, which may re-arm the timer. A default-constructed timer
+/// is unbound and must be assigned a bound one before it is armed. A timer
+/// must not outlive its engine and must not be destroyed by its own
+/// callback; moving it (even from inside the callback) is fine.
+class Timer {
+ public:
+  Timer() = default;
+  Timer(Engine& eng, InlineFn fn, const char* label = "");
+  Timer(Timer&& other) noexcept { take(other); }
+  Timer& operator=(Timer&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() { reset(); }
+
+  /// True while the timer is armed and its callback has not started.
+  [[nodiscard]] bool pending() const {
+    return body_ != nullptr && body_->armed;
+  }
+
+  /// (Re-)arm to fire `delay` from now (negative delays clamp to now).
+  void arm(Duration delay);
+  /// (Re-)arm to fire at `when` (clamped to now()).
+  void arm_at(Time when);
+  /// Stop the timer if it is armed; a no-op otherwise.
+  void disarm();
+  /// If armed, leave the queued entry behind as an ordinary scheduled event
+  /// that runs `fn` at the same {when, seq}, and carry on unarmed on a fresh
+  /// slot — the effect of overwriting an EventHandle with a new schedule().
+  /// For a caller that arms again while an earlier instance must still fire.
+  void detach(InlineFn fn);
+
+ private:
+  friend class Engine;
+  /// Heap-pinned so the callback never moves while it runs, even if the
+  /// engine's slot pool grows or the Timer itself is moved meanwhile.
+  struct Body {
+    InlineFn fn;
+    bool armed = false;
+  };
+
+  void take(Timer& other) {
+    eng_ = other.eng_;
+    slot_ = other.slot_;
+    body_ = std::move(other.body_);
+    other.eng_ = nullptr;
+  }
+  void reset();
+
+  Engine* eng_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::unique_ptr<Body> body_;
+};
+
 /// The event-driven clock that everything in the simulation hangs off.
 class Engine {
  public:
@@ -127,21 +197,24 @@ class Engine {
   /// bug (runaway loop), not a normal completion.
   RunOutcome run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Dispatch events while `keep_going()` returns true. Returns true if the
-  /// loop stopped because the predicate flipped, false if the queue drained
-  /// first.
-  bool run_while(const std::function<bool()>& keep_going);
+  /// Ask the running run_until_stopped() to return once the current event's
+  /// callback finishes. A request made while no such run is active makes
+  /// the next one return before dispatching anything.
+  void request_stop() { stop_requested_ = true; }
 
-  /// Number of events waiting to fire (including cancelled shells not yet
-  /// skipped or compacted away), wherever they sit in the queue.
+  /// Dispatch events until a callback calls request_stop() (returns true),
+  /// the queue drains, or the clock has reached `deadline` (both false).
+  /// The deadline is checked before each dispatch and does not bound the
+  /// pop, so the run ends after the first event at or past it; the clock is
+  /// not advanced to the deadline. The stop request is consumed on return.
+  bool run_until_stopped(Time deadline = kTimeMax);
+
+  /// Number of events waiting to fire: pending scheduled events plus
+  /// armed timers.
   [[nodiscard]] std::size_t queued() const { return queue_->size(); }
 
-  /// Cancelled shells currently sitting in the queue.
-  [[nodiscard]] std::size_t cancelled_shells() const {
-    return cancelled_shells_;
-  }
-
-  /// Size of the slot pool (high-water mark of concurrently queued events).
+  /// Size of the slot pool: the high-water mark of pending scheduled events
+  /// plus bound timers.
   [[nodiscard]] std::size_t pool_slots() const { return slots_.size(); }
 
   /// Total events dispatched over the engine's lifetime.
@@ -159,17 +232,21 @@ class Engine {
 
  private:
   friend class EventHandle;
+  friend class Timer;
   friend struct EngineTestAccess;
 
   static constexpr std::uint32_t kNpos = UINT32_MAX;
 
-  /// Pooled event body. `gen` counts reuses of the slot; an EventHandle or
-  /// queue entry referring to it is live iff its generation matches.
-  /// Generations are 32-bit: a stale handle could alias a future event
-  /// only after 2^32 reuses of one slot while the handle is still held,
-  /// which no simulation approaches (engines dispatch ~1e7 events total).
+  /// Pooled event body. A scheduled event keeps its callback in `fn`; a
+  /// slot bound to a Timer points at the timer's body instead. `gen`
+  /// counts releases of the slot: an EventHandle is pending iff its
+  /// generation matches. Generations are 32-bit: a stale handle could
+  /// alias a future event only after 2^32 reuses of one slot while the
+  /// handle is still held, which no simulation approaches (engines
+  /// dispatch ~1e7 events total).
   struct Slot {
     Callback fn;
+    Timer::Body* timer = nullptr;
     const char* label = "";
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNpos;
@@ -184,24 +261,22 @@ class Engine {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
-  /// Discard stale shells off the queue front so *out is the earliest live
-  /// entry; false when no live entry remains. Off the hot path (run()'s
-  /// budget-exhaustion check) — the dispatch loop pops directly.
-  bool peek_live(QEntry* out);
-  /// The one dispatch loop body: pop the earliest entry due by `deadline`,
-  /// skipping stale shells, and dispatch it — free its slot, advance the
-  /// clock, invoke. False when nothing live is due.
-  bool dispatch_next(Time deadline);
-  /// Drop every stale shell in one O(n) pass; called lazily when shells
-  /// exceed half the queue (wheel-resident shells included on both sides
-  /// of that ratio).
-  void compact();
+  std::uint32_t bind_timer(Timer::Body* body, const char* label);
+  void unbind_timer(std::uint32_t slot, Timer::Body* body);
+  void arm_timer(std::uint32_t slot, Timer::Body* body, Time when);
+  void disarm_timer(std::uint32_t slot, Timer::Body* body);
+  std::uint32_t detach_timer(std::uint32_t slot, Timer::Body* body,
+                             Callback fn);
 
+  /// The one dispatch loop body: pop the earliest entry due by `deadline`
+  /// and dispatch it — free a scheduled event's slot (or mark a timer
+  /// unarmed), advance the clock, invoke. False when nothing is due.
+  bool dispatch_next(Time deadline);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::size_t cancelled_shells_ = 0;
+  bool stop_requested_ = false;
   std::unique_ptr<EventQueue> queue_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNpos;
@@ -214,6 +289,34 @@ inline bool EventHandle::pending() const {
 
 inline void EventHandle::cancel() {
   if (eng_ != nullptr) eng_->cancel_event(slot_, gen_);
+}
+
+inline Timer::Timer(Engine& eng, InlineFn fn, const char* label)
+    : eng_(&eng), body_(std::make_unique<Body>()) {
+  body_->fn = std::move(fn);
+  slot_ = eng.bind_timer(body_.get(), label);
+}
+
+inline void Timer::arm(Duration delay) {
+  arm_at(eng_->now() + (delay < 0 ? 0 : delay));
+}
+
+inline void Timer::arm_at(Time when) {
+  eng_->arm_timer(slot_, body_.get(), when);
+}
+
+inline void Timer::disarm() {
+  if (pending()) eng_->disarm_timer(slot_, body_.get());
+}
+
+inline void Timer::detach(InlineFn fn) {
+  if (pending()) slot_ = eng_->detach_timer(slot_, body_.get(), std::move(fn));
+}
+
+inline void Timer::reset() {
+  if (eng_ != nullptr) eng_->unbind_timer(slot_, body_.get());
+  eng_ = nullptr;
+  body_.reset();
 }
 
 }  // namespace irs::sim

@@ -11,147 +11,123 @@ namespace irs::sim {
 
 namespace {
 
-/// Comparator adapting the dispatch order to std::*_heap's max-heap
-/// convention (the "latest" entry compares greatest, so the heap front is
-/// the earliest).
-struct Later {
-  bool operator()(const QEntry& a, const QEntry& b) const {
-    return entry_before(b, a);
-  }
-};
+/// Per-slot location word: the top two bits name the region an entry sits
+/// in, the rest its position there. Heap positions use region 0, so the
+/// heap stores raw indices.
+constexpr int kRegionShift = 30;
+constexpr std::uint32_t kHeapRegion = 0;
+constexpr std::uint32_t kDueRegion = 1;     // index into the due list
+constexpr std::uint32_t kBucketRegion = 2;  // bucket, then index in it
+constexpr int kBucketIndexBits = kRegionShift - 9;  // 9 bits name a bucket
+static_assert(kWheelBuckets <= (std::size_t{1} << 9));
+constexpr std::uint32_t kPosMask = (std::uint32_t{1} << kRegionShift) - 1;
+constexpr std::uint32_t kIndexMask = (std::uint32_t{1} << kBucketIndexBits) - 1;
+/// A bucket holding this many entries spills further pushes to the heap,
+/// so every bucket index fits its location field.
+constexpr std::size_t kBucketCap = std::size_t{1} << kBucketIndexBits;
+/// `slot` of an erased due-list entry (engine slots stay below UINT32_MAX,
+/// the engine's free-list sentinel).
+constexpr std::uint32_t kTombstone = UINT32_MAX;
+
+void track_slot(std::vector<std::uint32_t>& loc, std::uint32_t slot) {
+  if (slot >= loc.size()) loc.resize(std::size_t{slot} + 1);
+}
 
 // ---------------------------------------------------------------------------
-// Binary heap (reference oracle)
+// Indexed d-ary heap
 // ---------------------------------------------------------------------------
 
-class BinaryHeapQueue final : public EventQueue {
+/// Min-heap on {when, seq} with fan-out `Arity`: children of node i are
+/// Arity*i+1 .. Arity*i+Arity. Every move writes the entry's index into the
+/// owner's per-slot location array, so erase_at(loc[slot]) removes any
+/// entry in O(log n). At Arity 4 the depth is half a binary heap's, and the
+/// four children sit in 96 contiguous bytes (two cache lines at worst), so
+/// a sift-down pays ~one line fetch per level instead of two scattered
+/// ones. Non-virtual so the hybrid wheel can embed it as its spill
+/// structure without paying a second dispatch.
+template <std::size_t Arity>
+class IndexedHeap {
  public:
-  [[nodiscard]] QueueKind kind() const override {
-    return QueueKind::kBinaryHeap;
-  }
-  [[nodiscard]] const char* name() const override { return "binary"; }
+  explicit IndexedHeap(std::vector<std::uint32_t>* loc) : loc_(loc) {}
 
-  void push(const QEntry& e) override {
-    h_.push_back(e);
-    std::push_heap(h_.begin(), h_.end(), Later{});
-  }
-
-  bool peek(QEntry* out) override {
-    if (h_.empty()) return false;
-    *out = h_.front();
-    return true;
-  }
-
-  bool pop_until(Time deadline, QEntry* out) override {
-    if (h_.empty() || h_.front().when > deadline) return false;
-    std::pop_heap(h_.begin(), h_.end(), Later{});
-    *out = h_.back();
-    h_.pop_back();
-    return true;
-  }
-
-  [[nodiscard]] std::size_t size() const override { return h_.size(); }
-
-  std::size_t compact(LiveFn live, void* ctx) override {
-    const std::size_t before = h_.size();
-    h_.erase(std::remove_if(h_.begin(), h_.end(),
-                            [&](const QEntry& e) {
-                              return !live(ctx, e.slot, e.gen);
-                            }),
-             h_.end());
-    std::make_heap(h_.begin(), h_.end(), Later{});
-    return before - h_.size();
-  }
-
- private:
-  std::vector<QEntry> h_;
-};
-
-// ---------------------------------------------------------------------------
-// 4-ary implicit heap
-// ---------------------------------------------------------------------------
-
-/// Min-heap on {when, seq} with fan-out 4: children of node i are
-/// 4i+1..4i+4. Depth is half a binary heap's, and the four children sit in
-/// 96 contiguous bytes (two cache lines at worst), so a sift-down pays ~one
-/// line fetch per level instead of two scattered ones. Non-virtual core so
-/// the hybrid wheel can embed it as its spill structure without paying a
-/// second dispatch.
-class QuadHeap {
- public:
   void push(const QEntry& e) {
-    h_.push_back(e);
-    sift_up(h_.size() - 1);
+    h_.emplace_back();
+    sift_up(h_.size() - 1, e);
   }
 
   [[nodiscard]] bool empty() const { return h_.empty(); }
   [[nodiscard]] std::size_t size() const { return h_.size(); }
   [[nodiscard]] const QEntry& top() const { return h_.front(); }
 
-  void pop() {
-    h_.front() = h_.back();
-    h_.pop_back();
-    if (!h_.empty()) sift_down(0);
-  }
+  void pop() { erase_at(0); }
 
-  std::size_t compact(EventQueue::LiveFn live, void* ctx) {
-    const std::size_t before = h_.size();
-    h_.erase(std::remove_if(h_.begin(), h_.end(),
-                            [&](const QEntry& e) {
-                              return !live(ctx, e.slot, e.gen);
-                            }),
-             h_.end());
-    // Floyd heapify: sift down every internal node, last parent first.
-    if (h_.size() > 1) {
-      for (std::size_t i = (h_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
+  /// Remove the entry at heap index `i`: the last entry takes its place and
+  /// sifts whichever way restores the heap.
+  void erase_at(std::size_t i) {
+    const QEntry last = h_.back();
+    h_.pop_back();
+    if (i == h_.size()) return;
+    if (i > 0 && entry_before(last, h_[(i - 1) / Arity])) {
+      sift_up(i, last);
+    } else {
+      sift_down(i, last);
     }
-    return before - h_.size();
   }
 
  private:
-  void sift_up(std::size_t i) {
-    const QEntry e = h_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!entry_before(e, h_[parent])) break;
-      h_[i] = h_[parent];
-      i = parent;
-    }
+  void place(std::size_t i, const QEntry& e) {
     h_[i] = e;
+    (*loc_)[e.slot] = static_cast<std::uint32_t>(i);
   }
 
-  void sift_down(std::size_t i) {
+  void sift_up(std::size_t i, const QEntry& e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / Arity;
+      if (!entry_before(e, h_[parent])) break;
+      place(i, h_[parent]);
+      i = parent;
+    }
+    place(i, e);
+  }
+
+  void sift_down(std::size_t i, const QEntry& e) {
     const std::size_t n = h_.size();
-    const QEntry e = h_[i];
     while (true) {
-      const std::size_t first = 4 * i + 1;
+      const std::size_t first = Arity * i + 1;
       if (first >= n) break;
-      const std::size_t last = std::min(first + 4, n);
+      const std::size_t last = std::min(first + Arity, n);
       std::size_t min_child = first;
       for (std::size_t c = first + 1; c < last; ++c) {
         if (entry_before(h_[c], h_[min_child])) min_child = c;
       }
       if (!entry_before(h_[min_child], e)) break;
-      h_[i] = h_[min_child];
+      place(i, h_[min_child]);
       i = min_child;
     }
-    h_[i] = e;
+    place(i, e);
   }
 
   std::vector<QEntry> h_;
+  std::vector<std::uint32_t>* loc_;
 };
 
-class QuadHeapQueue final : public EventQueue {
+// ---------------------------------------------------------------------------
+// Heap backends: binary (reference) and 4-ary
+// ---------------------------------------------------------------------------
+
+template <std::size_t Arity>
+class HeapQueue final : public EventQueue {
  public:
-  [[nodiscard]] QueueKind kind() const override { return QueueKind::kQuadHeap; }
-  [[nodiscard]] const char* name() const override { return "quad"; }
+  [[nodiscard]] QueueKind kind() const override {
+    return Arity == 2 ? QueueKind::kBinaryHeap : QueueKind::kQuadHeap;
+  }
+  [[nodiscard]] const char* name() const override {
+    return Arity == 2 ? "binary" : "quad";
+  }
 
-  void push(const QEntry& e) override { h_.push(e); }
-
-  bool peek(QEntry* out) override {
-    if (h_.empty()) return false;
-    *out = h_.top();
-    return true;
+  void push(const QEntry& e) override {
+    track_slot(loc_, e.slot);
+    h_.push(e);
   }
 
   bool pop_until(Time deadline, QEntry* out) override {
@@ -161,14 +137,13 @@ class QuadHeapQueue final : public EventQueue {
     return true;
   }
 
+  void erase(std::uint32_t slot) override { h_.erase_at(loc_[slot]); }
+
   [[nodiscard]] std::size_t size() const override { return h_.size(); }
 
-  std::size_t compact(LiveFn live, void* ctx) override {
-    return h_.compact(live, ctx);
-  }
-
  private:
-  QuadHeap h_;
+  std::vector<std::uint32_t> loc_;
+  IndexedHeap<Arity> h_{&loc_};
 };
 
 // ---------------------------------------------------------------------------
@@ -177,46 +152,39 @@ class QuadHeapQueue final : public EventQueue {
 
 /// Timer wheel over kWheelBuckets buckets of 2^kDefaultWheelShift ns
 /// (131 µs buckets, ~67 ms horizon — see the constant derivations in
-/// event_queue.h), backed by an embedded 4-ary spill heap for entries at
-/// or behind the open bucket and entries beyond one rotation past it.
-/// Every wheel-resident entry sits in a bucket strictly after the open
-/// one, so the earliest entry overall is always the due-list front or the
-/// heap top — pops merge-compare just those two.
+/// event_queue.h), backed by an embedded indexed 4-ary spill heap for
+/// entries at or behind the open bucket and entries beyond one rotation
+/// past it. Every wheel-resident entry sits in a bucket strictly after the
+/// open one, so the earliest entry overall is always the due-list front or
+/// the heap top — pops merge-compare just those two.
+///
+/// Erase by region: a bucket is unsorted until it opens, so its entries
+/// swap-remove in O(1); the heap removes by index; the sorted due list
+/// marks a tombstone that the pop path steps over within the same bucket.
 class HybridWheelQueue final : public EventQueue {
  public:
   void push(const QEntry& e) override {
+    track_slot(loc_, e.slot);
     const std::uint64_t idx =
         static_cast<std::uint64_t>(e.when) >> kDefaultWheelShift;
-    if (idx > open_idx_ + kMask && wheel_count_ == 0 &&
-        due_pos_ >= due_.size()) {
+    if (idx > open_idx_ + kMask && wheel_count_ == 0 && due_live_ == 0) {
       // Wheel empty and the event is beyond the horizon (e.g. after a
       // long idle gap): teleport the cursor so the wheel keeps absorbing
       // near-future traffic around the new epoch.
       open_idx_ = idx - 1;
     }
     if (idx > open_idx_ && idx - open_idx_ <= kMask) {
-      const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
-      buckets_[slot].push_back(e);
-      words_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      ++wheel_count_;
-      return;
+      const std::size_t b = static_cast<std::size_t>(idx) & kMask;
+      std::vector<QEntry>& bucket = buckets_[b];
+      if (bucket.size() < kBucketCap) {
+        loc_[e.slot] = bucket_loc(b, bucket.size());
+        bucket.push_back(e);
+        words_[b >> 6] |= std::uint64_t{1} << (b & 63);
+        ++wheel_count_;
+        return;
+      }
     }
-    heap_.push(e);  // behind the cursor, or beyond the horizon
-  }
-
-  bool peek(QEntry* out) override {
-    const bool have_due = ensure_due();
-    if (heap_.empty()) {
-      if (!have_due) return false;
-      *out = due_[due_pos_];
-      return true;
-    }
-    if (have_due && entry_before(due_[due_pos_], heap_.top())) {
-      *out = due_[due_pos_];
-    } else {
-      *out = heap_.top();
-    }
-    return true;
+    heap_.push(e);  // behind the cursor, beyond the horizon, or overflow
   }
 
   bool pop_until(Time deadline, QEntry* out) override {
@@ -225,6 +193,7 @@ class HybridWheelQueue final : public EventQueue {
         (have_due && entry_before(due_[due_pos_], heap_.top()))) {
       if (!have_due || due_[due_pos_].when > deadline) return false;
       *out = due_[due_pos_++];
+      --due_live_;
     } else {
       if (heap_.top().when > deadline) return false;
       *out = heap_.top();
@@ -233,45 +202,36 @@ class HybridWheelQueue final : public EventQueue {
     return true;
   }
 
-  [[nodiscard]] std::size_t size() const override {
-    return heap_.size() + wheel_count_ + (due_.size() - due_pos_);
+  void erase(std::uint32_t slot) override {
+    const std::uint32_t at = loc_[slot];
+    switch (at >> kRegionShift) {
+      case kHeapRegion:
+        heap_.erase_at(at);
+        return;
+      case kDueRegion:
+        due_[at & kPosMask].slot = kTombstone;
+        --due_live_;
+        return;
+      default: {
+        const std::size_t b = (at >> kBucketIndexBits) & kMask;
+        const std::size_t i = at & kIndexMask;
+        std::vector<QEntry>& bucket = buckets_[b];
+        if (i + 1 != bucket.size()) {
+          bucket[i] = bucket.back();
+          loc_[bucket[i].slot] = bucket_loc(b, i);
+        }
+        bucket.pop_back();
+        --wheel_count_;
+        if (bucket.empty()) {
+          words_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        }
+        return;
+      }
+    }
   }
 
-  std::size_t compact(LiveFn live, void* ctx) override {
-    std::size_t removed = heap_.compact(live, ctx);
-
-    // Unconsumed tail of the open bucket (order is preserved by filtering).
-    std::vector<QEntry> kept;
-    kept.reserve(due_.size() - due_pos_);
-    for (std::size_t i = due_pos_; i < due_.size(); ++i) {
-      if (live(ctx, due_[i].slot, due_[i].gen)) {
-        kept.push_back(due_[i]);
-      } else {
-        ++removed;
-      }
-    }
-    due_ = std::move(kept);
-    due_pos_ = 0;
-
-    // Wheel-resident shells: a cancel-heavy workload confined to the wheel
-    // must compact here, not just in the heap.
-    for (std::size_t slot = 0; slot < kWheelBuckets; ++slot) {
-      std::vector<QEntry>& b = buckets_[slot];
-      if (b.empty()) continue;
-      const std::size_t before = b.size();
-      b.erase(std::remove_if(b.begin(), b.end(),
-                             [&](const QEntry& e) {
-                               return !live(ctx, e.slot, e.gen);
-                             }),
-              b.end());
-      const std::size_t dropped = before - b.size();
-      removed += dropped;
-      wheel_count_ -= dropped;
-      if (b.empty()) {
-        words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      }
-    }
-    return removed;
+  [[nodiscard]] std::size_t size() const override {
+    return heap_.size() + wheel_count_ + due_live_;
   }
 
   [[nodiscard]] QueueKind kind() const override {
@@ -283,23 +243,38 @@ class HybridWheelQueue final : public EventQueue {
   static constexpr std::size_t kMask = kWheelBuckets - 1;
   static constexpr std::size_t kWords = kWheelBuckets / 64;
 
-  /// Refill the due list from the next non-empty bucket. Returns true if
-  /// due_[due_pos_] is valid afterwards; false once the wheel is empty.
+  static std::uint32_t bucket_loc(std::size_t b, std::size_t i) {
+    return (kBucketRegion << kRegionShift) |
+           static_cast<std::uint32_t>(b << kBucketIndexBits) |
+           static_cast<std::uint32_t>(i);
+  }
+
+  /// Make due_[due_pos_] the earliest live entry of the open bucket,
+  /// stepping over tombstones or opening the next non-empty bucket.
+  /// Returns false once both the due list and the wheel are empty.
   bool ensure_due() {
-    if (due_pos_ < due_.size()) return true;
+    if (due_live_ > 0) {
+      while (due_[due_pos_].slot == kTombstone) ++due_pos_;
+      return true;
+    }
     due_.clear();
     due_pos_ = 0;
     if (wheel_count_ == 0) return false;
     const std::uint64_t idx = next_nonempty();
     open_idx_ = idx;
-    const std::size_t slot = static_cast<std::size_t>(idx) & kMask;
-    due_.swap(buckets_[slot]);
-    words_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    const std::size_t b = static_cast<std::size_t>(idx) & kMask;
+    due_.swap(buckets_[b]);
+    words_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     wheel_count_ -= due_.size();
+    due_live_ = due_.size();
     std::sort(due_.begin(), due_.end(),
               [](const QEntry& a, const QEntry& b) {
                 return entry_before(a, b);
               });
+    for (std::size_t i = 0; i < due_.size(); ++i) {
+      loc_[due_[i].slot] =
+          (kDueRegion << kRegionShift) | static_cast<std::uint32_t>(i);
+    }
     return true;
   }
 
@@ -328,13 +303,16 @@ class HybridWheelQueue final : public EventQueue {
   std::array<std::vector<QEntry>, kWheelBuckets> buckets_;
   std::array<std::uint64_t, kWords> words_{};  // non-empty bucket bitmap
   /// Absolute index of the bucket last drained into `due_` (the "open"
-  /// bucket). Monotone; only buckets strictly after it accept entries.
+  /// bucket). Monotone except for the empty-wheel teleport; only buckets
+  /// strictly after it accept entries.
   std::uint64_t open_idx_ = 0;
   std::vector<QEntry> due_;  // open bucket, sorted ascending, consumed from
-  std::size_t due_pos_ = 0;  // due_pos_
+  std::size_t due_pos_ = 0;  // due_pos_; erased entries are tombstones
+  std::size_t due_live_ = 0;     // non-tombstone entries at/after due_pos_
   std::size_t wheel_count_ = 0;  // entries resident in buckets_
 
-  QuadHeap heap_;  // behind-the-cursor + beyond-the-horizon spill
+  std::vector<std::uint32_t> loc_;  // per-slot location word (see above)
+  IndexedHeap<4> heap_{&loc_};  // behind-the-cursor + beyond-the-horizon
 };
 
 }  // namespace
@@ -356,9 +334,9 @@ bool parse_queue_kind(const char* s, QueueKind* out) {
 std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
   switch (kind) {
     case QueueKind::kBinaryHeap:
-      return std::make_unique<BinaryHeapQueue>();
+      return std::make_unique<HeapQueue<2>>();
     case QueueKind::kQuadHeap:
-      return std::make_unique<QuadHeapQueue>();
+      return std::make_unique<HeapQueue<4>>();
     case QueueKind::kHybridWheel:
       break;
   }

@@ -1,36 +1,38 @@
 // Priority-queue backends for the discrete-event engine.
 //
 // The engine's schedule/cancel/dispatch loop is the hottest code in the
-// repo, and everything it needs from a queue is four operations over a
-// 24-byte POD entry: push, peek-min, deadline-bounded pop, and an
-// occasional stale-shell compaction sweep. `EventQueue` pins that contract
-// down as a small interface so backends can compete on cache behaviour
-// while the engine's determinism story stays in one place:
+// repo, and everything it needs from a queue is three operations over a
+// 24-byte POD entry: push, deadline-bounded pop, and erase-by-slot.
+// `EventQueue` pins that contract down as a small interface so backends
+// can compete on cache behaviour while the engine's determinism story
+// stays in one place:
 //
 //   * total order — entries are ordered by {when, seq}; `seq` is the
 //     engine's monotone schedule counter, so same-timestamp events fire in
 //     scheduling order (stable FIFO tie-break). Every backend must honour
 //     the exact same total order: simulations are bit-identical across
 //     backends, which the randomized oracle tests assert.
-//   * shells — the engine cancels events by bumping the slot generation
-//     and leaving the entry behind as a stale "shell". Backends store
-//     shells like any other entry; the engine discards them on pop and
-//     triggers compact() when shells outnumber half the queue, wherever
-//     they sit (heap or wheel bucket).
+//   * erase in place — `slot` names the engine pool slot an entry belongs
+//     to, and a slot has at most one entry queued at a time. Each backend
+//     keeps a 4-byte location per slot, so cancelling an event or
+//     re-arming a timer removes its entry where it sits: no stale entry is
+//     ever left behind for dispatch to skip or a sweep to remove.
 //
 // Backends (make_event_queue):
-//   * kBinaryHeap — the original std::push_heap/pop_heap binary heap; kept
-//     as the reference oracle and the "before" of the deep-queue bench.
-//   * kQuadHeap — 4-ary implicit heap. Half the tree depth of a binary
+//   * kBinaryHeap — indexed binary heap; kept as the reference backend and
+//     the "before" of the deep-queue bench.
+//   * kQuadHeap — indexed 4-ary heap. Half the tree depth of a binary
 //     heap, and the four children of a node share at most two cache lines,
 //     so deep-queue sifts touch fewer lines per level.
 //   * kHybridWheel — the default: a two-tier queue. A near-future timer
 //     wheel of kWheelBuckets fixed 131 µs buckets (~67 ms horizon) absorbs
-//     the dense periodic tick/slice/softirq traffic in O(1) pushes; a 4-ary
-//     spill heap holds everything beyond the horizon or behind the cursor.
-//     Buckets are sorted lazily when the dispatch cursor reaches them, and
-//     pops merge-compare the open bucket against the heap top, preserving
-//     the {when, seq} order exactly.
+//     the dense periodic tick/slice/softirq traffic in O(1) pushes and
+//     O(1) swap-remove erases; an indexed 4-ary spill heap holds
+//     everything beyond the horizon or behind the cursor. Buckets are
+//     sorted lazily when the dispatch cursor reaches them, and pops
+//     merge-compare the open bucket against the heap top, preserving the
+//     {when, seq} order exactly. An erase inside the open bucket's sorted
+//     due list leaves a tombstone there, consumed within that same bucket.
 #pragma once
 
 #include <cstdint>
@@ -43,20 +45,6 @@ namespace irs::sim {
 // ---------------------------------------------------------------------------
 // Tuning constants, each derived from the simulator's event cadence
 // ---------------------------------------------------------------------------
-
-/// Engine shell-compaction trigger: compact when stale shells outnumber
-/// half the queue AND the queue holds at least this many entries. Below
-/// 64 entries an O(n) sweep saves less than the bookkeeping costs — the
-/// steady-state queue of a 2-VM simulation (per-pCPU slice timers, hv
-/// ticks, softirqs) is ~50-200 entries, so 64 ≈ "at least a typical
-/// queue's worth of entries".
-inline constexpr std::size_t kCompactMinQueue = 64;
-
-/// Shell count below which the trigger above cannot possibly fire
-/// (shells > size/2 with size >= kCompactMinQueue requires more than
-/// kCompactMinQueue/2 shells). cancel_event skips the queue-size query —
-/// a virtual call — entirely until the count clears this floor.
-inline constexpr std::size_t kCompactShellFloor = kCompactMinQueue / 2;
 
 /// Timer-wheel bucket width, as a log2 of nanoseconds: 2^17 ns =
 /// 131.072 µs; fixed for the life of the queue. Derived from the scheduling cadence the simulations are
@@ -73,13 +61,11 @@ inline constexpr int kDefaultWheelShift = 17;
 inline constexpr std::size_t kWheelBuckets = 512;
 
 /// 24-byte POD queue entry; cheap to move during sift operations. `slot`
-/// and `gen` identify the engine pool slot the callback lives in; an entry
-/// is live iff the slot's current generation still equals `gen`.
+/// identifies the engine pool slot the callback lives in.
 struct QEntry {
   Time when = 0;
   std::uint64_t seq = 0;  // FIFO tie-break for identical timestamps
   std::uint32_t slot = 0;
-  std::uint32_t gen = 0;
 };
 
 /// Strict total order of dispatch: earlier `when` first, then lower `seq`.
@@ -99,49 +85,40 @@ enum class QueueKind : std::uint8_t {
 };
 
 /// Minimal priority-queue contract the engine dispatch loop needs.
-/// Entries are opaque to the queue apart from the {when, seq} order;
-/// liveness is the engine's business (see compact()).
+/// Entries are opaque to the queue apart from the {when, seq} order and
+/// the `slot` key that erase() looks them up by.
 class EventQueue {
  public:
-  /// Liveness predicate for compaction: returns true if the entry
-  /// {slot, gen} is still live. Plain function pointer + context so
-  /// backends stay free of std::function on any path.
-  using LiveFn = bool (*)(void* ctx, std::uint32_t slot, std::uint32_t gen);
-
   virtual ~EventQueue() = default;
 
   [[nodiscard]] virtual QueueKind kind() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Insert an entry. `e.when` must be >= the `when` of every entry already
-  /// popped, and `e.seq` must never collide with a resident entry's seq
-  /// (the engine clamps `when` to now() and draws seq from a counter).
+  /// popped, `e.seq` must never collide with a queued entry's seq (the
+  /// engine clamps `when` to now() and draws seq from a counter), and no
+  /// other entry with `e.slot` may be queued.
   virtual void push(const QEntry& e) = 0;
 
-  /// Earliest entry by {when, seq} without removing it; false when empty.
-  /// May reorganise internal state (the wheel opens its next bucket), so it
-  /// is non-const, but never changes the pop sequence. Off the hot path —
-  /// the dispatch loop uses pop_until so extraction costs one virtual call
-  /// per event and one min-selection.
-  virtual bool peek(QEntry* out) = 0;
-
-  /// Remove and return the earliest entry iff its `when` is <= deadline;
-  /// false when the queue is empty or the earliest entry is later. The
-  /// single-event extraction primitive: deadline-bounded runs and
-  /// unbounded runs (deadline = kTimeMax) share it.
+  /// Remove and return the earliest entry by {when, seq} iff its `when` is
+  /// <= deadline; false when the queue is empty or the earliest entry is
+  /// later. The single-event extraction primitive: deadline-bounded runs
+  /// and unbounded runs (deadline = kTimeMax) share it, so extraction costs
+  /// one virtual call per event. A refused pop may reorganise internal
+  /// state (the wheel opens its next bucket) but never changes the pop
+  /// sequence.
   virtual bool pop_until(Time deadline, QEntry* out) = 0;
 
   /// Remove and return the earliest entry; false when empty.
   bool pop(QEntry* out) { return pop_until(kTimeMax, out); }
 
-  /// Entries currently stored, including stale shells — the denominator of
-  /// the engine's shell-ratio compaction trigger, so it must count every
-  /// resident entry wherever it sits (heap, wheel bucket, or open bucket).
-  [[nodiscard]] virtual std::size_t size() const = 0;
+  /// Remove the queued entry of `slot`, which must be queued. The
+  /// {when, seq} order of every other entry is unchanged.
+  virtual void erase(std::uint32_t slot) = 0;
 
-  /// Drop every entry for which `live` returns false, preserving the
-  /// {when, seq} order of the survivors. Returns the number removed.
-  virtual std::size_t compact(LiveFn live, void* ctx) = 0;
+  /// Entries currently queued, wherever they sit (heap, wheel bucket, or
+  /// the open bucket's due list; due-list tombstones are not counted).
+  [[nodiscard]] virtual std::size_t size() const = 0;
 };
 
 /// Parse a backend name ("binary", "quad", "wheel"). Returns false on

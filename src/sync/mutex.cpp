@@ -5,9 +5,16 @@
 
 namespace irs::sync {
 
+bool Mutex::queued(const guest::Task& t) const {
+  return std::find(waiters_.begin(), waiters_.end(), &t) != waiters_.end();
+}
+
 AcquireResult Mutex::lock(guest::Task& t) {
+  // Waiters may remain queued while the lock is free: unlock wakes only the
+  // head waiter and a third task may barge in first. What must hold is
+  // that the owner never waits and no task waits twice.
+  assert(!queued(t) && "a task waits on a mutex at most once");
   if (owner_ == nullptr) {
-    assert(waiters_.empty());
     owner_ = &t;
     ++t.locks_held;
     t.held_lock_name = name_.c_str();

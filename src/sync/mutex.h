@@ -41,6 +41,9 @@ class Mutex {
   [[nodiscard]] std::uint64_t contentions() const { return contentions_; }
 
  private:
+  /// True if `t` is in the wait queue (assert-only; linear scan).
+  [[nodiscard]] bool queued(const guest::Task& t) const;
+
   guest::SchedApi& api_;
   std::string name_;
   guest::Task* owner_ = nullptr;

@@ -153,22 +153,34 @@ TEST(Engine, EventsCanScheduleEvents) {
   }
 }
 
-TEST(Engine, RunWhilePredicate) {
+TEST(Engine, RunUntilStoppedEndsAfterTheStoppingEvent) {
   Engine eng;
   int count = 0;
   for (int i = 0; i < 100; ++i) {
-    eng.schedule(i, [&] { ++count; });
+    eng.schedule(i, [&] {
+      if (++count == 10) eng.request_stop();
+    });
   }
-  const bool stopped = eng.run_while([&] { return count < 10; });
-  EXPECT_TRUE(stopped);
+  EXPECT_TRUE(eng.run_until_stopped());
   EXPECT_EQ(count, 10);
+  EXPECT_EQ(eng.now(), 9);
+  // The request was consumed: the next run goes on to the deadline, ends
+  // after the first event at or past it, and leaves the clock there.
+  EXPECT_FALSE(eng.run_until_stopped(/*deadline=*/20));
+  EXPECT_EQ(count, 21);
+  EXPECT_EQ(eng.now(), 20);
+  // A stop requested outside a run ends the next one before any dispatch.
+  eng.request_stop();
+  EXPECT_TRUE(eng.run_until_stopped());
+  EXPECT_EQ(count, 21);
 }
 
-TEST(Engine, RunWhileReturnsFalseWhenDrained) {
+TEST(Engine, RunUntilStoppedReturnsFalseWhenDrained) {
   Engine eng;
   eng.schedule(1, [] {});
-  const bool stopped = eng.run_while([] { return true; });
-  EXPECT_FALSE(stopped);
+  EXPECT_FALSE(eng.run_until_stopped());
+  EXPECT_EQ(eng.queued(), 0u);
+  EXPECT_EQ(eng.now(), 1);
 }
 
 TEST(Engine, DispatchedCounterExcludesCancelled) {
@@ -223,7 +235,7 @@ TEST(EnginePool, SlotReusedAfterCancel) {
   EventHandle h = eng.schedule(1000, [] {});
   ASSERT_EQ(eng.pool_slots(), 1u);
   h.cancel();
-  EXPECT_EQ(eng.cancelled_shells(), 1u);
+  EXPECT_EQ(eng.queued(), 0u);
   // New event reuses the cancelled slot; the old handle must not alias it.
   EventHandle h2 = eng.schedule(2000, [] {});
   EXPECT_EQ(eng.pool_slots(), 1u);
@@ -292,7 +304,7 @@ TEST(EnginePool, FifoTieBreakSurvivesCancelAndReuse) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
 }
 
-TEST(EnginePool, CompactionDropsShellsNotLiveEvents) {
+TEST(EnginePool, CancelErasesTheEntryLeavingLiveEventsQueued) {
   Engine eng;
   std::vector<EventHandle> handles;
   int fired = 0;
@@ -300,12 +312,15 @@ TEST(EnginePool, CompactionDropsShellsNotLiveEvents) {
     handles.push_back(eng.schedule(milliseconds(i + 1), [&] { ++fired; }));
   }
   ASSERT_EQ(eng.queued(), 100u);
-  // Cancel 60 of 100: once shells outnumber half the queue (at the 51st
-  // cancel) compaction sweeps them; the 9 cancels after that sit as shells
-  // because the shrunken queue is below the compaction floor.
-  for (int i = 0; i < 60; ++i) handles[static_cast<std::size_t>(i)].cancel();
-  EXPECT_EQ(eng.queued(), 49u);
-  EXPECT_EQ(eng.cancelled_shells(), 9u);
+  // Every cancel removes its own entry at once: the queue holds exactly
+  // the pending events, with no stale entry left for dispatch to skip.
+  for (int i = 0; i < 60; ++i) {
+    handles[static_cast<std::size_t>(i)].cancel();
+    EXPECT_EQ(eng.queued(), static_cast<std::size_t>(99 - i));
+  }
+  // Cancelling a spent handle again changes nothing.
+  handles[0].cancel();
+  EXPECT_EQ(eng.queued(), 40u);
   eng.run();
   EXPECT_EQ(fired, 40);
   for (int i = 60; i < 100; ++i) {
@@ -313,10 +328,10 @@ TEST(EnginePool, CompactionDropsShellsNotLiveEvents) {
   }
 }
 
-TEST(EnginePool, RunUntilSkipsShellsBeyondDeadline) {
+TEST(EnginePool, CancelledFrontEventDoesNotCarryRunUntilPastDeadline) {
   Engine eng;
-  // A cancelled shell in front of the deadline must not let dispatch run
-  // past the deadline to the next live event.
+  // Cancelling the only event before the deadline must not let dispatch
+  // run past the deadline to the next live event.
   EventHandle early = eng.schedule(milliseconds(1), [] {});
   int fired = 0;
   eng.schedule(milliseconds(10), [&] { ++fired; });
@@ -348,6 +363,142 @@ TEST(EnginePool, RunReportsBudgetExhaustion) {
   const Engine::RunOutcome done = eng2.run(/*max_events=*/2);
   EXPECT_EQ(done.dispatched, 2u);
   EXPECT_FALSE(done.budget_exhausted);
+}
+
+// --- sim::Timer ---
+
+TEST(Timer, RearmFromInsideOwnCallbackKeepsOneSlot) {
+  Engine eng;
+  std::vector<Time> fired;
+  Timer t;
+  t = Timer(eng, [&] {
+    fired.push_back(eng.now());
+    if (fired.size() < 5) t.arm(milliseconds(2));
+  });
+  const std::size_t slots = eng.pool_slots();
+  t.arm(milliseconds(1));
+  EXPECT_EQ(eng.queued(), 1u);
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<Time>{milliseconds(1), milliseconds(3),
+                                      milliseconds(5), milliseconds(7),
+                                      milliseconds(9)}));
+  EXPECT_FALSE(t.pending());
+  EXPECT_EQ(eng.queued(), 0u);
+  EXPECT_EQ(eng.pool_slots(), slots);  // no slot churn across re-arms
+  EXPECT_EQ(eng.dispatched(), 5u);
+}
+
+/// Dispatch log of a same-instant mix where one timer is re-armed while
+/// pending, either through sim::Timer or as cancel + schedule.
+std::vector<int> rearm_order(bool use_timer) {
+  Engine eng;
+  std::vector<int> order;
+  auto note = [&order](int id) { return [&order, id] { order.push_back(id); }; };
+  Timer timer(eng, note(0));
+  EventHandle handle;
+  auto arm = [&](Duration d) {
+    if (use_timer) {
+      timer.arm(d);
+    } else {
+      handle.cancel();
+      handle = eng.schedule(d, note(0));
+    }
+  };
+  arm(milliseconds(1));             // first at t=1, ahead of event 1
+  eng.schedule(milliseconds(1), note(1));
+  arm(milliseconds(1));             // re-armed: now behind event 1
+  eng.schedule(milliseconds(1), note(2));
+  eng.schedule(milliseconds(2), [&] {
+    order.push_back(3);
+    arm(0);                         // this instant, after queued event 4
+  });
+  eng.schedule(milliseconds(2), note(4));
+  eng.run();
+  return order;
+}
+
+TEST(Timer, ArmingAPendingTimerKeepsCancelThenScheduleFifo) {
+  const std::vector<int> expected{1, 0, 2, 3, 4, 0};
+  EXPECT_EQ(rearm_order(/*use_timer=*/false), expected);
+  EXPECT_EQ(rearm_order(/*use_timer=*/true), expected);
+}
+
+TEST(Timer, DestroyingAPendingTimerRemovesItsEvent) {
+  Engine eng;
+  int fired = 0;
+  {
+    Timer t(eng, [&] { ++fired; });
+    t.arm(milliseconds(1));
+    EXPECT_EQ(eng.queued(), 1u);
+  }
+  EXPECT_EQ(eng.queued(), 0u);
+  // The freed slot is reused by the next event, and nothing stale fires.
+  const std::size_t slots = eng.pool_slots();
+  eng.schedule(milliseconds(2), [&] { fired += 10; });
+  EXPECT_EQ(eng.pool_slots(), slots);
+  eng.run();
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(eng.dispatched(), 1u);
+}
+
+TEST(Timer, PendingReadsFalseWhileItsCallbackRuns) {
+  Engine eng;
+  std::vector<bool> seen;
+  Timer t;
+  t = Timer(eng, [&] {
+    seen.push_back(t.pending());
+    t.disarm();  // a no-op on an unarmed timer
+  });
+  EXPECT_FALSE(t.pending());
+  t.arm(milliseconds(1));
+  EXPECT_TRUE(t.pending());
+  eng.run();
+  EXPECT_EQ(seen, (std::vector<bool>{false}));
+  EXPECT_FALSE(t.pending());
+}
+
+TEST(Timer, DisarmMoveAndArmAtClampToNow) {
+  Engine eng;
+  std::vector<Time> fired;
+  Timer a(eng, [&] { fired.push_back(eng.now()); });
+  a.arm(milliseconds(5));
+  a.disarm();
+  EXPECT_FALSE(a.pending());
+  EXPECT_EQ(eng.queued(), 0u);
+  a.arm(milliseconds(3));
+  // Moving a pending timer moves its queued entry with it.
+  Timer b(std::move(a));
+  EXPECT_FALSE(a.pending());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.pending());
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<Time>{milliseconds(3)}));
+  b.arm_at(milliseconds(1));  // in the past: fires now, like schedule_at
+  b.arm(-5);                  // negative delay: fires now, re-armed
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<Time>{milliseconds(3), milliseconds(3)}));
+}
+
+TEST(Timer, DetachLeavesTheQueuedEntryBehindAsAnEvent) {
+  // detach() is what overwriting an EventHandle with a new schedule() did:
+  // the old instance stays queued at its {when, seq} and fires on its own,
+  // while the timer carries on and only its newest arm can be disarmed.
+  Engine eng;
+  std::vector<int> order;
+  Timer t(eng, [&] { order.push_back(0); });
+  t.detach([&] { order.push_back(9); });  // unarmed: a no-op
+  EXPECT_EQ(eng.queued(), 0u);
+  t.arm(milliseconds(1));
+  eng.schedule(milliseconds(1), [&] { order.push_back(1); });
+  t.detach([&] { order.push_back(2); });
+  EXPECT_FALSE(t.pending());
+  EXPECT_EQ(eng.queued(), 2u);
+  t.arm(milliseconds(1));
+  t.disarm();  // only the newest arm
+  t.arm(milliseconds(1));
+  EXPECT_EQ(eng.queued(), 3u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(eng.queued(), 0u);
 }
 
 // --- Dispatch edge cases, on every queue backend ---
@@ -423,8 +574,7 @@ TEST_P(EngineDispatch, BudgetStopThenResumeLosesNothing) {
 
 TEST_P(EngineDispatch, CancelOfQueuedEntryFromCallbackIsHonoured) {
   // The first callback cancels events that are already queued: they must
-  // not fire, and the shell bookkeeping must come back to zero (the
-  // dispatch loop's skip path decrements it).
+  // not fire, and each cancel must take its entry out of the queue.
   Engine eng(GetParam());
   std::vector<int> fired;
   std::vector<EventHandle> handles;
@@ -436,13 +586,13 @@ TEST_P(EngineDispatch, CancelOfQueuedEntryFromCallbackIsHonoured) {
     handles[5].cancel();
     handles[20].cancel();
     handles[39].cancel();
+    EXPECT_EQ(eng.queued(), 37u);
   });
   eng.run();
   EXPECT_EQ(fired.size(), 37u);
   EXPECT_TRUE(std::find(fired.begin(), fired.end(), 5) == fired.end());
   EXPECT_TRUE(std::find(fired.begin(), fired.end(), 20) == fired.end());
   EXPECT_TRUE(std::find(fired.begin(), fired.end(), 39) == fired.end());
-  EXPECT_EQ(eng.cancelled_shells(), 0u);
   EXPECT_EQ(eng.queued(), 0u);
 }
 
@@ -472,19 +622,18 @@ std::vector<std::pair<Time, int>> drive_workload(QueueKind kind, int mode) {
       while (eng.queued() > 0) eng.run_until(eng.now() + 97);
       break;
     default:
-      EXPECT_FALSE(eng.run_while([] { return true; }));
+      EXPECT_FALSE(eng.run_until_stopped());
       break;
   }
   EXPECT_EQ(eng.queued(), 0u);
-  EXPECT_EQ(eng.cancelled_shells(), 0u);
   EXPECT_EQ(eng.dispatched(), fired.size());
   return fired;
 }
 
 TEST_P(EngineDispatch, RunEntryPointsDispatchIdentically) {
-  // run(), chunked run_until() and run_while() share one dispatch loop, so
-  // the same workload must fire the same events at the same times in the
-  // same order whichever entry point drives it.
+  // run(), chunked run_until() and run_until_stopped() share one dispatch
+  // loop, so the same workload must fire the same events at the same times
+  // in the same order whichever entry point drives it.
   const auto via_run = drive_workload(GetParam(), 0);
   ASSERT_GT(via_run.size(), 200u);
   ASSERT_LT(via_run.size(), 800u);  // some cancels really landed

@@ -133,6 +133,66 @@ INSTANTIATE_TEST_SUITE_P(Npb, WorkloadRun,
                          ::testing::Values("BT", "LU", "CG", "EP", "FT", "IS",
                                            "MG", "SP", "UA"));
 
+/// Where a run stopped: the clock, the events dispatched, and whether the
+/// foreground workload finished.
+struct StopPoint {
+  sim::Time now = 0;
+  std::uint64_t dispatched = 0;
+  bool finished = false;
+  bool operator==(const StopPoint&) const = default;
+};
+
+/// A blocking PARSEC app next to a hog VM on the same four pCPUs, so events
+/// keep flowing after the app finishes and the stop point is observable.
+/// Runs to `first_timeout` (then `second_timeout` if nonzero) either through
+/// World::run_until_finished or through a loop that polls the finish
+/// predicate and the deadline before every single dispatch.
+StopPoint stop_point(bool predicate_loop, sim::Duration first_timeout,
+                     sim::Duration second_timeout = 0) {
+  core::World w = make_world();
+  const auto vm = w.add_vm(pinned4(), false);
+  const auto bg = w.add_vm(pinned4(), false);
+  WorkloadOptions opts;
+  opts.work_scale = 0.05;
+  w.attach(vm, make_workload("streamcluster", opts));
+  w.attach(bg, make_workload("hog", opts));
+  w.start();
+  auto run = [&](sim::Duration timeout) {
+    if (!predicate_loop) return w.run_until_finished(vm, timeout);
+    const sim::Time deadline = w.engine().now() + timeout;
+    while (!w.node().workloads_finished(vm) &&
+           w.engine().now() < deadline) {
+      if (w.engine().run(1).dispatched == 0) break;
+    }
+    return w.node().workloads_finished(vm);
+  };
+  StopPoint p;
+  p.finished = run(first_timeout);
+  if (second_timeout > 0) p.finished = run(second_timeout);
+  p.now = w.engine().now();
+  p.dispatched = w.engine().dispatched();
+  return p;
+}
+
+TEST(WorkloadRun, RunUntilFinishedStopsWhereAPerDispatchPredicateDid) {
+  // Finishes well before the deadline: stops after the finishing event.
+  const StopPoint done = stop_point(true, sim::seconds(30));
+  ASSERT_TRUE(done.finished);
+  EXPECT_EQ(stop_point(false, sim::seconds(30)), done);
+  // Times out: stops after the first event at or past the deadline.
+  const StopPoint late = stop_point(true, sim::milliseconds(40));
+  ASSERT_FALSE(late.finished);
+  EXPECT_GE(late.now, sim::milliseconds(40));
+  EXPECT_EQ(stop_point(false, sim::milliseconds(40)), late);
+  // Already finished: a second call dispatches nothing.
+  const StopPoint again = stop_point(true, sim::seconds(30), sim::seconds(1));
+  EXPECT_EQ(again, done);
+  EXPECT_EQ(stop_point(false, sim::seconds(30), sim::seconds(1)), again);
+  // After a timeout, the next call resumes and finishes at the same event.
+  EXPECT_EQ(stop_point(false, sim::milliseconds(40), sim::seconds(30)), done);
+  EXPECT_EQ(stop_point(true, sim::milliseconds(40), sim::seconds(30)), done);
+}
+
 TEST(WorkloadRun, ParallelAppUsesAllCpusAlone) {
   core::World w = make_world();
   const auto vm = w.add_vm(pinned4(), false);
