@@ -534,7 +534,8 @@ int main(int argc, char** argv) {
     c.trace_capacity = 1 << 18;
     c.forensics = true;
     c.server_duration = sim::seconds(10);
-    const exp::RunResult res = exp::run_scenario(c, &fdump);
+    const exp::RunResult res =
+        exp::run_scenario(c, exp::RunCapture{.dump = &fdump});
     forensics_run_digest = res.forensics_digest;
   }
   double forensics_analyze_sec = 0;

@@ -10,7 +10,9 @@
 # state by trace ids and reads half-open spans after ring wrap, fuzzed
 # over randomized ring capacities), and frontend_asan (the bounded accept
 # FIFO's push/pop churn and lazily sized per-connection keepalive
-# counters under the overload fault matrix), and cluster_asan (replica
+# counters under the overload fault matrix), serving_asan (every server
+# records through a RequestSink of raw pointers into its workload's
+# recorders), and cluster_asan (replica
 # gates are heap booleans captured by parked behaviors and migration
 # closures outlive the decision that made them) — exactly the kind of
 # ownership bug ASan catches and TSan does not.

@@ -10,7 +10,9 @@
 # forensics_ubsan (segment arithmetic over trace timestamps and the
 # 128-bit per-cause sums behind the exact-sum contract), and
 # frontend_ubsan (arrival-gap rate/Duration conversions through doubles
-# and the conservation-ledger digest mixing), and cluster_ubsan (the
+# and the conservation-ledger digest mixing), serving_ubsan (the one
+# RequestSink's latency/queue-wait arithmetic and the delay-preempt window
+# bookkeeping), and cluster_ubsan (the
 # placement-ledger digest's 64-bit mixing, steal/downtime arithmetic over
 # vCPU state times, and the burn threshold's double conversion).
 set -euo pipefail

@@ -6,7 +6,6 @@
 
 #include "src/cluster/cluster.h"
 #include "src/exp/sweep.h"
-#include "src/wl/frontend.h"
 #include "src/wl/registry.h"
 #include "src/wl/server.h"
 
@@ -39,57 +38,74 @@ wl::WorkloadOptions fg_options(const ScenarioConfig& cfg) {
   return fg_opts;
 }
 
-/// Windowed SLO tracking (server workloads; passive, so the simulation is
-/// unperturbed). slo_window < 0 disables; 0 means the 30 ms default.
-void enable_slo_if_server(const ScenarioConfig& cfg, wl::Workload& fg_wl) {
-  if (cfg.slo_window < 0) return;
-  const sim::Duration w =
-      cfg.slo_window > 0 ? cfg.slo_window : obs::SloTracker::kDefaultWindow;
-  if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-    jbb->enable_slo(w);
-  } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-    ab->enable_slo(w);
-  } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-    fe->enable_slo(w);
+/// Windowed SLO tracking and, when asked, request-span capture on a server
+/// foreground (passive, so the simulation is unperturbed). slo_window < 0
+/// disables SLO; 0 means the 30 ms default. Null for batch workloads.
+wl::ServerWorkload* enable_server_obs(const ScenarioConfig& cfg,
+                                      wl::Workload& fg_wl, bool spans) {
+  auto* server = dynamic_cast<wl::ServerWorkload*>(&fg_wl);
+  if (server == nullptr) return nullptr;
+  if (cfg.slo_window >= 0) {
+    server->enable_slo(cfg.slo_window > 0 ? cfg.slo_window
+                                          : obs::SloTracker::kDefaultWindow);
   }
+  if (spans) server->enable_request_spans();
+  return server;
 }
 
 /// Server metrics if the foreground was a server workload: throughput, the
 /// latency tail (p99 and the exact p999 fig_cluster compares), the SLO
 /// capture, and — front-end only — the conservation ledger.
-void extract_server_metrics(wl::Workload& fg_wl, sim::Time now, RunResult* r) {
-  if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-    r->throughput = jbb->throughput();
-    r->lat_mean = jbb->latency().mean();
-    r->lat_p99 = jbb->latency().percentile(99.0);
-    r->lat_p999 = jbb->latency().percentile(99.9);
-    r->slo = jbb->slo_result(now);
-  } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-    r->throughput = ab->throughput();
-    r->lat_mean = ab->latency().mean();
-    r->lat_p99 = ab->latency().percentile(99.0);
-    r->lat_p999 = ab->latency().percentile(99.9);
-    r->slo = ab->slo_result(now);
-  } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-    r->throughput = fe->throughput();
-    r->lat_mean = fe->latency().mean();
-    r->lat_p99 = fe->latency().percentile(99.0);
-    r->lat_p999 = fe->latency().percentile(99.9);
-    r->slo = fe->slo_result(now);
-    r->frontend = fe->frontend_result();
+void extract_server_metrics(wl::ServerWorkload* server, sim::Time now,
+                            RunResult* r) {
+  if (server != nullptr) {
+    r->throughput = server->throughput();
+    r->lat_mean = server->latency().mean();
+    r->lat_p99 = server->latency().percentile(99.0);
+    r->lat_p999 = server->latency().percentile(99.9);
+    r->slo = server->slo_result(now);
+    r->frontend = server->frontend_result();
   }
   r->slo_digest = r->slo.digest();
   r->frontend_digest = obs::ledger_digest(r->frontend);
 }
 
-/// Fill a TraceDump from one host node (cluster path; the single-host path
-/// keeps its own fill because forensics interleaves request spans there).
-void fill_node_dump(core::HostNode& node, const std::string& title,
-                    int n_pcpus, TraceDump* dump) {
+/// Fold each host's scheduler and SA counters, sampler digest and trace
+/// counts into `r`: counts add, digests XOR — on one host, a plain copy.
+void fold_nodes(const std::vector<core::HostNode*>& nodes, RunResult* r) {
+  std::uint64_t sa_completed = 0;
+  sim::Duration sa_delay_total = 0;
+  for (core::HostNode* node : nodes) {
+    const hv::SchedStats& ss = node->host().sched_stats();
+    r->lhp += ss.lhp_events;
+    r->lwp += ss.lwp_events;
+    const hv::StrategyStats& st = node->host().strategy_stats();
+    r->sa_sent += st.sa_sent;
+    r->sa_acked += st.sa_acked;
+    sa_completed += st.sa_acked + st.sa_forced;
+    sa_delay_total += st.sa_delay_total;
+    if (obs::Sampler* smp = node->sampler()) {
+      r->sampler_digest ^= smp->digest();
+    }
+    sim::Trace& trace = node->host().trace();
+    if (trace.enabled()) trace.flush_buffers();  // count the staged tail too
+    r->trace_dropped += trace.dropped();
+    r->trace_total_recorded += trace.total_recorded();
+  }
+  r->sa_delay_avg =
+      sa_completed > 0
+          ? sa_delay_total / static_cast<sim::Duration>(sa_completed)
+          : 0;
+}
+
+/// Fill a TraceDump from one host node: the ring snapshot, the vCPU and
+/// task tables, the run window and the sampler series.
+void fill_node_dump(core::HostNode& node, std::string title, int n_pcpus,
+                    TraceDump* dump) {
   sim::Trace& trace = node.host().trace();
   dump->records = trace.snapshot();  // flushes all staging buffers
   obs::TraceMeta meta;
-  meta.title = title;
+  meta.title = std::move(title);
   meta.n_pcpus = n_pcpus;
   for (int vm_i = 0; vm_i < node.host().n_vms(); ++vm_i) {
     const hv::Vm& vm = node.host().vm(vm_i);
@@ -138,19 +154,9 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   if (cfg.pinned) fg_vm.pin_map = identity_pins(cfg.n_vcpus);
   const hv::VmId fg = world.add_vm(fg_vm, /*irs_capable=*/true, cfg.fg_guest);
 
-  wl::Workload& fg_wl =
-      world.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg)));
-
-  enable_slo_if_server(cfg, fg_wl);
-  if (cfg.forensics) {
-    if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-      jbb->enable_request_spans();
-    } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-      ab->enable_request_spans();
-    } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-      fe->enable_request_spans();
-    }
-  }
+  wl::ServerWorkload* server = enable_server_obs(
+      cfg, world.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg))),
+      cfg.forensics);
 
   // Interfering VM(s): n_inter vCPUs pinned to pCPUs 0..n_inter-1, running
   // either CPU hogs or an endless real application (paper §5.1).
@@ -188,82 +194,32 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
     r.bg_progress_rate = rate;
   }
 
-  extract_server_metrics(fg_wl, world.engine().now(), &r);
-
-  const hv::SchedStats& ss = world.host().sched_stats();
-  r.lhp = ss.lhp_events;
-  r.lwp = ss.lwp_events;
+  extract_server_metrics(server, world.engine().now(), &r);
   r.irs_migrations = world.kernel(fg).stats().irs_migrations;
-  const hv::StrategyStats& st = world.host().strategy_stats();
-  r.sa_sent = st.sa_sent;
-  r.sa_acked = st.sa_acked;
-  const std::uint64_t completed = st.sa_acked + st.sa_forced;
-  r.sa_delay_avg = completed > 0
-                       ? st.sa_delay_total / static_cast<sim::Duration>(completed)
-                       : 0;
-  if (obs::Sampler* smp = world.sampler()) {
-    r.sampler_digest = smp->digest();
-  }
-  {
-    sim::Trace& trace = world.host().trace();
-    if (trace.enabled()) trace.flush_buffers();  // count the staged tail too
-    r.trace_dropped = trace.dropped();
-    r.trace_total_recorded = trace.total_recorded();
-  }
+  fold_nodes({&world.node()}, &r);
 
   if (dump != nullptr || (cfg.forensics && cfg.forensics_analyze)) {
-    sim::Trace& trace = world.host().trace();
-    std::vector<sim::TraceRecord> records =
-        trace.snapshot();  // flushes all staging buffers
-    obs::TraceMeta meta;
-    meta.title = cfg.fg + (cfg.bg.empty() ? "" : "+" + cfg.bg) + " [" +
-                 core::strategy_name(cfg.strategy) + "]";
-    meta.n_pcpus = cfg.n_pcpus;
-    for (int vm_i = 0; vm_i < world.host().n_vms(); ++vm_i) {
-      const hv::Vm& vm = world.host().vm(vm_i);
-      int idx = 0;
-      for (const hv::Vcpu* v : vm.vcpus()) {
-        meta.vcpus.push_back(obs::VcpuInfo{v->id(), vm.name(), idx++});
-      }
-      guest::GuestKernel& k = world.kernel(vm_i);
-      for (std::size_t t = 0; t < k.n_tasks(); ++t) {
-        meta.tasks.push_back(
-            obs::TaskInfo{k.task(t).id(), vm.name(), k.task(t).name()});
-      }
-    }
-    meta.start = world.started_at();
-    meta.end = world.engine().now();
-    meta.dropped = trace.dropped();
-    meta.total_recorded = trace.total_recorded();
-    if (cfg.forensics) {
-      // Request spans were captured in the workload's side log, not the
-      // ring; synthesize their kReqBegin/kReqEnd records into the snapshot
-      // so the analyzer and the exporters see one interleaved stream.
-      const std::vector<obs::ReqSpan>* spans = nullptr;
-      if (auto* jbb = dynamic_cast<wl::JbbWorkload*>(&fg_wl)) {
-        spans = &jbb->request_spans();
-      } else if (auto* ab = dynamic_cast<wl::AbWorkload*>(&fg_wl)) {
-        spans = &ab->request_spans();
-      } else if (auto* fe = dynamic_cast<wl::FrontendWorkload*>(&fg_wl)) {
-        spans = &fe->request_spans();
-      }
-      if (spans != nullptr && !spans->empty()) {
-        records =
-            obs::with_request_spans(records, *spans, meta.total_recorded);
-      }
+    TraceDump d;
+    fill_node_dump(world.node(),
+                   cfg.fg + (cfg.bg.empty() ? "" : "+" + cfg.bg) + " [" +
+                       core::strategy_name(cfg.strategy) + "]",
+                   cfg.n_pcpus, &d);
+    // Request spans were captured in the workload's side log, not the ring;
+    // synthesize their kReqBegin/kReqEnd records into the snapshot so the
+    // analyzer and the exporters see one interleaved stream.
+    if (cfg.forensics && server != nullptr &&
+        !server->request_spans().empty()) {
+      d.records = obs::with_request_spans(d.records, server->request_spans(),
+                                          d.meta.total_recorded);
     }
     if (cfg.forensics && cfg.forensics_analyze) {
-      r.forensics = obs::request_forensics(records, meta, r.slo);
+      r.forensics = obs::request_forensics(d.records, d.meta, r.slo);
       r.forensics_digest = r.forensics.digest();
     }
     if (dump != nullptr) {
-      dump->records = std::move(records);
-      dump->meta = std::move(meta);
-      if (obs::Sampler* smp = world.sampler()) {
-        dump->series = smp->dump();
-      }
-      dump->slo = r.slo;
-      dump->forensics = r.forensics;
+      d.slo = r.slo;
+      d.forensics = r.forensics;
+      *dump = std::move(d);
     }
   }
   return r;
@@ -313,9 +269,9 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
   const cluster::CvmId fg =
       cl.add_vm(0, fg_vm, /*irs_capable=*/true, cfg.fg_guest);
   cl.set_protected(fg);
-  wl::Workload& fg_wl =
-      cl.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg)));
-  enable_slo_if_server(cfg, fg_wl);
+  wl::ServerWorkload* server = enable_server_obs(
+      cfg, cl.attach(fg, wl::make_workload(cfg.fg, fg_options(cfg))),
+      /*spans=*/false);
 
   // Interference: n_bg_vms migratable hog VMs, n_inter vCPUs/hogs each.
   if (!cfg.bg.empty() && cfg.n_inter > 0) {
@@ -336,33 +292,11 @@ RunResult run_cluster(const ScenarioConfig& cfg, const RunCapture& capture) {
   // bg_progress_rate stays 0: hogs report no work units (same as the
   // single-host hog runs).
 
-  extract_server_metrics(fg_wl, cl.engine().now(), &r);
-
+  extract_server_metrics(server, cl.engine().now(), &r);
   r.irs_migrations = cl.kernel(fg).stats().irs_migrations;
-  std::uint64_t sa_completed = 0;
-  sim::Duration sa_delay_total = 0;
-  for (int h = 0; h < cl.n_hosts(); ++h) {
-    core::HostNode& node = cl.node(h);
-    const hv::SchedStats& ss = node.host().sched_stats();
-    r.lhp += ss.lhp_events;
-    r.lwp += ss.lwp_events;
-    const hv::StrategyStats& st = node.host().strategy_stats();
-    r.sa_sent += st.sa_sent;
-    r.sa_acked += st.sa_acked;
-    sa_completed += st.sa_acked + st.sa_forced;
-    sa_delay_total += st.sa_delay_total;
-    if (obs::Sampler* smp = node.sampler()) {
-      r.sampler_digest ^= smp->digest();
-    }
-    sim::Trace& trace = node.host().trace();
-    if (trace.enabled()) trace.flush_buffers();
-    r.trace_dropped += trace.dropped();
-    r.trace_total_recorded += trace.total_recorded();
-  }
-  r.sa_delay_avg =
-      sa_completed > 0
-          ? sa_delay_total / static_cast<sim::Duration>(sa_completed)
-          : 0;
+  std::vector<core::HostNode*> nodes;
+  for (int h = 0; h < cl.n_hosts(); ++h) nodes.push_back(&cl.node(h));
+  fold_nodes(nodes, &r);
 
   r.cluster = cl.result();
   r.cluster_digest = obs::ledger_digest(r.cluster);

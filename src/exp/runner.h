@@ -241,11 +241,10 @@ inline bool results_identical(const RunResult& a, const RunResult& b) {
   return a == b;
 }
 
-/// Capture options for run_scenario — the open-ended replacement for the
-/// old run_scenario(cfg) / run_scenario(cfg, TraceDump*) overload pair:
-/// new capture surfaces extend this struct instead of multiplying
-/// overloads. Any requested capture enables the trace ring (and sampler)
-/// at generous defaults when the config left them off.
+/// Capture options for run_scenario: new capture surfaces extend this
+/// struct instead of multiplying overloads. Any requested capture enables
+/// the trace ring (and sampler) at generous defaults when the config left
+/// them off.
 struct RunCapture {
   /// Capture the run's trace: single-host runs fill it with the host's
   /// timeline; cluster runs with host 0's.
@@ -258,14 +257,9 @@ struct RunCapture {
 /// Run one scenario, capturing whatever `capture` asks for.
 RunResult run_scenario(const ScenarioConfig& cfg, const RunCapture& capture);
 
-/// Back-compat wrapper: run with no capture.
+/// Run one scenario with no capture.
 inline RunResult run_scenario(const ScenarioConfig& cfg) {
   return run_scenario(cfg, RunCapture{});
-}
-
-/// Back-compat wrapper for the old dump overload (ignored when null).
-inline RunResult run_scenario(const ScenarioConfig& cfg, TraceDump* dump) {
-  return run_scenario(cfg, RunCapture{.dump = dump});
 }
 
 /// Average `n_seeds` runs whose seeds are derive_seed(cfg.seed, i) (the

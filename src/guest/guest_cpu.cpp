@@ -96,13 +96,9 @@ void GuestCpu::resume_current() {
 void GuestCpu::begin_exec() { resume_current(); }
 
 void GuestCpu::arm_op_done(sim::Duration burst) {
-  // stop_exec() disarms the completion before the next burst starts, except
-  // when a delay-preempt lock-hint release stops the vCPU synchronously
-  // inside interpret(): the loop then starts a burst on the stopped vCPU,
-  // whose completion is still queued when the vCPU restarts the burst.
-  // That completion stays queued and fires on its own (detach), so the
-  // delay-preempt timeline does not change.
-  op_done_.detach([this]() { on_op_complete(); });
+  // Every path that ends a burst (stop_exec via completion, resched or
+  // vCPU stop) disarms the completion first: one burst in flight at most.
+  assert(!op_done_.pending());
   op_done_.arm(burst);
 }
 
@@ -129,6 +125,9 @@ void GuestCpu::interpret() {
   assert(current_ != nullptr && vcpu_running_);
   for (int guard = 0; guard < 256; ++guard) {
     update_lock_hint();
+    // Dropping the lock hint can end a delay-preempt window, which stops
+    // this vCPU synchronously: the task carries on when it runs again.
+    if (!vcpu_running_) return;
     if (maybe_resched()) return;
     Task& t = *current_;
     // Resuming from a condvar wait: reacquire the mutex first.

@@ -71,18 +71,6 @@ void Engine::disarm_timer(std::uint32_t slot, Timer::Body* body) {
   body->armed = false;
 }
 
-std::uint32_t Engine::detach_timer(std::uint32_t slot, Timer::Body* body,
-                                   Callback fn) {
-  const std::uint32_t fresh = acquire_slot();
-  slots_[fresh].timer = body;
-  slots_[fresh].label = slots_[slot].label;
-  // The queued entry keeps its slot, which now holds a scheduled event.
-  slots_[slot].timer = nullptr;
-  slots_[slot].fn = std::move(fn);
-  body->armed = false;
-  return fresh;
-}
-
 bool Engine::dispatch_next(Time deadline) {
   QEntry e;
   if (!queue_->pop_until(deadline, &e)) return false;

@@ -126,11 +126,6 @@ class Timer {
   void arm_at(Time when);
   /// Stop the timer if it is armed; a no-op otherwise.
   void disarm();
-  /// If armed, leave the queued entry behind as an ordinary scheduled event
-  /// that runs `fn` at the same {when, seq}, and carry on unarmed on a fresh
-  /// slot — the effect of overwriting an EventHandle with a new schedule().
-  /// For a caller that arms again while an earlier instance must still fire.
-  void detach(InlineFn fn);
 
  private:
   friend class Engine;
@@ -265,8 +260,6 @@ class Engine {
   void unbind_timer(std::uint32_t slot, Timer::Body* body);
   void arm_timer(std::uint32_t slot, Timer::Body* body, Time when);
   void disarm_timer(std::uint32_t slot, Timer::Body* body);
-  std::uint32_t detach_timer(std::uint32_t slot, Timer::Body* body,
-                             Callback fn);
 
   /// The one dispatch loop body: pop the earliest entry due by `deadline`
   /// and dispatch it — free a scheduled event's slot (or mark a timer
@@ -307,10 +300,6 @@ inline void Timer::arm_at(Time when) {
 
 inline void Timer::disarm() {
   if (pending()) eng_->disarm_timer(slot_, body_.get());
-}
-
-inline void Timer::detach(InlineFn fn) {
-  if (pending()) slot_ = eng_->detach_timer(slot_, body_.get(), std::move(fn));
 }
 
 inline void Timer::reset() {

@@ -59,8 +59,8 @@ bool FeListenerBehavior::admit(sim::Time arrival, sim::Time now) {
   const auto depth = static_cast<std::uint64_t>(shape_.fifo.size());
   if (opts_.overload == OverloadPolicy::kShed && shape_.shed_active) {
     ++st.shed;
-    if (shape_.slo != nullptr) {
-      shape_.slo->record(shape_.shed_class, now, 1);
+    if (shape_.sink.slo != nullptr) {
+      shape_.sink.slo->record(FrontendShape::kShedClass, now, 1);
     }
     return false;
   }
@@ -73,16 +73,16 @@ bool FeListenerBehavior::admit(sim::Time arrival, sim::Time now) {
         std::max(1, opts_.n_workers);
     if (est > shape_.spec.threshold) {
       ++st.admit_rejected;
-      if (shape_.slo != nullptr) {
-        shape_.slo->record(shape_.drop_class, now, 1);
+      if (shape_.sink.slo != nullptr) {
+        shape_.sink.slo->record(FrontendShape::kDropClass, now, 1);
       }
       return false;
     }
   }
   if (static_cast<int>(depth) >= shape_.queue_cap) {
     ++st.tail_dropped;
-    if (shape_.slo != nullptr) {
-      shape_.slo->record(shape_.drop_class, now, 1);
+    if (shape_.sink.slo != nullptr) {
+      shape_.sink.slo->record(FrontendShape::kDropClass, now, 1);
     }
     return false;
   }
@@ -98,7 +98,7 @@ bool FeListenerBehavior::admit(sim::Time arrival, sim::Time now) {
   } else {
     ++st.keepalive_reuses;
   }
-  shape_.fifo.push_back(FeRequest{arrival, shape_.next_req++, fresh});
+  shape_.fifo.push_back(FeRequest{arrival, shape_.sink.next_req++, fresh});
   st.max_queue_depth =
       std::max(st.max_queue_depth,
                static_cast<std::uint64_t>(shape_.fifo.size()));
@@ -182,28 +182,17 @@ guest::Action FeWorkerBehavior::next(guest::Task& t, sim::Time now,
         return guest::Action::compute(work);
       }
       case 2: {  // response sent
-        const sim::Duration latency = now - cur_.arrival;
+        // Measured from the arrival instant, carrying the accept-queue
+        // wait so the forensics replay charges [arrival, serve_start) to
+        // Cause::kQueueWait.
         const sim::Duration qwait = serve_start_ - cur_.arrival;
-        shape_.latency->add(latency);
-        if (shape_.span_log != nullptr) {
-          // Back-dated to the arrival instant, carrying the accept-queue
-          // wait so the forensics replay charges [arrival, serve_start)
-          // to Cause::kQueueWait.
-          shape_.span_log->push_back(obs::ReqSpan{
-              cur_.arrival, now, cur_.req,
-              static_cast<std::int32_t>(shape_.serve_class), t.id(), qwait});
-        }
-        if (shape_.slo != nullptr) {
-          shape_.slo->record(shape_.serve_class, now, latency);
-        }
-        if (shape_.work != nullptr) {
-          shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
-        }
+        shape_.sink.complete(t, cur_.arrival, now, cur_.req,
+                             FrontendShape::kServeClass, qwait);
         obs::FrontendResult& st = *shape_.stats;
         ++st.completed;
         st.queue_wait_total += qwait;
         st.queue_wait_max = std::max(st.queue_wait_max, qwait);
-        shape_.note_completion(now, latency);
+        shape_.note_completion(now, now - cur_.arrival);
         step_ = 0;
         continue;
       }
@@ -218,13 +207,27 @@ guest::Action FeWorkerBehavior::next(guest::Task& t, sim::Time now,
 // ---------------------------------------------------------------------------
 
 FrontendWorkload::FrontendWorkload(const FrontendOptions& opts)
-    : Workload("frontend"), opts_(opts) {
+    : ServerWorkload("frontend", "fe", opts.run_for, default_slo()),
+      opts_(opts) {
   if (opts_.n_workers < 1) opts_.n_workers = 1;
   if (opts_.queue_cap < 1) opts_.queue_cap = 1;
 }
 
+obs::SloSpec FrontendWorkload::default_slo() {
+  return obs::SloSpec{sim::milliseconds(20), 0.999};
+}
+
+void FrontendWorkload::on_enable_slo(obs::SloTracker& slo,
+                                     sim::Duration window,
+                                     const obs::SloSpec& spec) {
+  slo_spec_ = spec;
+  slo_window_ = window;
+  // The 1 ns "latency" each refusal records is always a violation.
+  slo.add_class("fe.drop", obs::SloSpec{0, spec.objective});
+  slo.add_class("fe.shed", obs::SloSpec{0, spec.objective});
+}
+
 void FrontendWorkload::instantiate(guest::GuestKernel& k) {
-  kernel_ = &k;
   sync_ = std::make_unique<sync::SyncContext>(k);
   k.set_memory_intensity(0.8);
   shape_ = std::make_unique<FrontendShape>();
@@ -237,16 +240,11 @@ void FrontendWorkload::instantiate(guest::GuestKernel& k) {
   shape_->accept = &sync_->make_pipe(opts_.queue_cap + opts_.n_workers + 2,
                                      "fe.accept");
   shape_->queue_cap = opts_.queue_cap;
-  shape_->latency = &latency_;
-  shape_->work = &work_;
+  shape_->sink = sink();
   shape_->stats = &stats_;
   shape_->spec = slo_spec_;
   shape_->shed_window = slo_window_;
   shape_->win_start = k.engine().now();
-  if (slo_ != nullptr) {
-    shape_->slo = slo_.get();
-  }
-  if (req_spans_) shape_->span_log = &spans_;
   behaviors_.push_back(
       std::make_unique<FeListenerBehavior>(*shape_, opts_));
   tasks_.push_back(&k.create_task("fe.listen", *behaviors_.back(), 0));
@@ -255,42 +253,6 @@ void FrontendWorkload::instantiate(guest::GuestKernel& k) {
     tasks_.push_back(&k.create_task("fe.w" + std::to_string(i),
                                     *behaviors_.back(), i % k.n_cpus()));
   }
-}
-
-double FrontendWorkload::throughput() const {
-  return progress() / sim::to_sec(opts_.run_for);
-}
-
-obs::SloSpec FrontendWorkload::default_slo() {
-  return obs::SloSpec{sim::milliseconds(20), 0.999};
-}
-
-void FrontendWorkload::enable_slo(sim::Duration window, obs::SloSpec spec) {
-  slo_spec_ = spec;
-  slo_window_ = window;
-  slo_ = std::make_unique<obs::SloTracker>(window);
-  slo_->add_class("fe", spec);
-  // Refusals burn budget by construction: threshold 0, so the 1 ns
-  // "latency" each refusal records is always a violation.
-  slo_->add_class("fe.drop", obs::SloSpec{0, spec.objective});
-  slo_->add_class("fe.shed", obs::SloSpec{0, spec.objective});
-  if (shape_ != nullptr) {  // enabled after instantiate(): wire in place
-    shape_->slo = slo_.get();
-    shape_->spec = spec;
-    shape_->shed_window = window;
-  }
-}
-
-obs::SloResult FrontendWorkload::slo_result(sim::Time end) {
-  if (slo_ == nullptr) return {};
-  slo_->flush(end);
-  return slo_->result();
-}
-
-void FrontendWorkload::enable_request_spans() {
-  req_spans_ = true;
-  spans_.reserve(std::size_t{1} << 17);  // see JbbWorkload
-  if (shape_ != nullptr) shape_->span_log = &spans_;
 }
 
 obs::FrontendResult FrontendWorkload::frontend_result() const {

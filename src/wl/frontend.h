@@ -42,13 +42,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/metrics.h"
-#include "src/obs/forensics.h"
-#include "src/obs/frontend_stats.h"
-#include "src/obs/slo.h"
 #include "src/wl/arrivals.h"
-#include "src/wl/behavior.h"
-#include "src/wl/workload.h"
+#include "src/wl/server.h"
 
 namespace irs::wl {
 
@@ -94,15 +89,12 @@ struct FrontendShape {
   sync::Pipe* accept = nullptr;       // wakeup channel (close() = shutdown)
   std::deque<FeRequest> fifo;         // payloads, bounded by queue_cap
   int queue_cap = 0;
-  core::Histogram* latency = nullptr;
-  obs::Counters* work = nullptr;
-  obs::SloTracker* slo = nullptr;     // may be null; class ids below
-  std::size_t serve_class = 0;
-  std::size_t drop_class = 1;
-  std::size_t shed_class = 2;
-  std::vector<obs::ReqSpan>* span_log = nullptr;
+  /// Request ids are taken at arrival; sink.slo classes are below.
+  RequestSink sink;
+  static constexpr std::size_t kServeClass = 0;
+  static constexpr std::size_t kDropClass = 1;
+  static constexpr std::size_t kShedClass = 2;
   obs::FrontendResult* stats = nullptr;
-  std::int32_t next_req = 0;
 
   // Shed controller: tumbling window over completions; shed while the
   // previous window burned its error budget.
@@ -152,43 +144,29 @@ class FeWorkerBehavior final : public guest::Behavior {
   sim::Time serve_start_ = 0;
 };
 
-class FrontendWorkload final : public Workload {
+class FrontendWorkload final : public ServerWorkload {
  public:
   explicit FrontendWorkload(const FrontendOptions& opts);
   void instantiate(guest::GuestKernel& k) override;
 
-  [[nodiscard]] core::Histogram& latency() { return latency_; }
-  /// Completed requests per simulated second.
-  [[nodiscard]] double throughput() const;
-
   /// Default SLO: 20 ms end-to-end (arrival -> completion) at three nines,
   /// matching the ab arm it is benchmarked against.
   static obs::SloSpec default_slo();
-  /// Track windowed SLO latency plus the drop/shed request classes
-  /// (threshold 0: every refusal burns error budget). Passive.
-  void enable_slo(sim::Duration window = obs::SloTracker::kDefaultWindow,
-                  obs::SloSpec spec = default_slo());
-  [[nodiscard]] obs::SloResult slo_result(sim::Time end);
-  /// Capture a ReqSpan (with qwait) per completed request; see wl/server.h.
-  void enable_request_spans();
-  [[nodiscard]] const std::vector<obs::ReqSpan>& request_spans() const {
-    return spans_;
-  }
 
   /// The conservation ledger; in_flight is settled here (accepted minus
   /// completed at call time).
-  [[nodiscard]] obs::FrontendResult frontend_result() const;
+  [[nodiscard]] obs::FrontendResult frontend_result() const override;
 
  private:
+  /// Adds the drop/shed request classes (threshold 0: every refusal burns
+  /// error budget) and points the shed controller at the SLO.
+  void on_enable_slo(obs::SloTracker& slo, sim::Duration window,
+                     const obs::SloSpec& spec) override;
+
   FrontendOptions opts_;
   obs::SloSpec slo_spec_ = default_slo();
   sim::Duration slo_window_ = obs::SloTracker::kDefaultWindow;
-  bool req_spans_ = false;
-  guest::GuestKernel* kernel_ = nullptr;
-  core::Histogram latency_;
-  std::vector<obs::ReqSpan> spans_;
   obs::FrontendResult stats_;
-  std::unique_ptr<obs::SloTracker> slo_;
   std::unique_ptr<FrontendShape> shape_;
 };
 

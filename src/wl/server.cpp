@@ -1,6 +1,63 @@
 #include "src/wl/server.h"
 
+#include <cassert>
+
 namespace irs::wl {
+
+// ---------------------------------------------------------------------------
+// The serving path every server shares
+// ---------------------------------------------------------------------------
+
+void RequestSink::complete(const guest::Task& t, sim::Time begin,
+                           sim::Time now, std::int32_t req, std::size_t cls,
+                           sim::Duration qwait) {
+  latency->add(now - begin);
+  if (spans != nullptr) {
+    spans->push_back(obs::ReqSpan{begin, now, req,
+                                  static_cast<std::int32_t>(cls), t.id(),
+                                  qwait});
+  }
+  if (slo != nullptr) slo->record(cls, now, now - begin);
+  work->inc(task_shard(t), obs::Cnt::kWorkUnits);
+}
+
+ServerWorkload::ServerWorkload(std::string name, std::string slo_class,
+                               sim::Duration run_for,
+                               obs::SloSpec default_spec)
+    : Workload(std::move(name)),
+      run_for_(run_for),
+      slo_class_(std::move(slo_class)),
+      default_spec_(default_spec) {}
+
+double ServerWorkload::throughput() const {
+  return progress() / sim::to_sec(run_for_);
+}
+
+void ServerWorkload::enable_slo(sim::Duration window, obs::SloSpec spec) {
+  assert(tasks_.empty() && "enable_slo() after instantiate()");
+  slo_ = std::make_unique<obs::SloTracker>(window);
+  slo_->add_class(slo_class_, spec);
+  on_enable_slo(*slo_, window, spec);
+}
+
+obs::SloResult ServerWorkload::slo_result(sim::Time end) {
+  if (slo_ == nullptr) return {};
+  slo_->flush(end);
+  return slo_->result();
+}
+
+void ServerWorkload::enable_request_spans() {
+  assert(tasks_.empty() && "enable_request_spans() after instantiate()");
+  req_spans_ = true;
+  // Reserve a fig08-sized run's worth up front: the append is on the
+  // serving path, and growth reallocs would otherwise dominate its cost.
+  spans_.reserve(std::size_t{1} << 17);
+}
+
+RequestSink ServerWorkload::sink() {
+  return RequestSink{&latency_, &work_, slo_.get(),
+                     req_spans_ ? &spans_ : nullptr};
+}
 
 // ---------------------------------------------------------------------------
 // SPECjbb-like worker
@@ -36,18 +93,7 @@ guest::Action JbbWorkerBehavior::next(guest::Task& t, sim::Time now,
         }
         return guest::Action::unlock(*shape_.mutex);
       case 4:  // transaction complete
-        shape_.latency->add(now - txn_start_);
-        if (shape_.span_log != nullptr) {
-          shape_.span_log->push_back(obs::ReqSpan{
-              txn_start_, now, shape_.next_req++,
-              static_cast<std::int32_t>(shape_.slo_class), t.id()});
-        }
-        if (shape_.slo != nullptr) {
-          shape_.slo->record(shape_.slo_class, now, now - txn_start_);
-        }
-        if (shape_.work != nullptr) {
-          shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
-        }
+        shape_.sink.complete(t, txn_start_, now, shape_.sink.next_req++, 0);
         step_ = 0;
         continue;
       default:
@@ -77,21 +123,9 @@ guest::Action AbWorkerBehavior::next(guest::Task& t, sim::Time now,
         return guest::Action::compute(
             rng.jittered(shape_.service_mean, 0.5));
       case 2:  // response sent
-        shape_.latency->add(now - arrival_);
-        if (shape_.span_log != nullptr) {
-          // The span begin is back-dated to the arrival instant
-          // (mid-sleep): it must cover the wake + ready-wait the latency
-          // metric charges.
-          shape_.span_log->push_back(obs::ReqSpan{
-              arrival_, now, shape_.next_req++,
-              static_cast<std::int32_t>(shape_.slo_class), t.id()});
-        }
-        if (shape_.slo != nullptr) {
-          shape_.slo->record(shape_.slo_class, now, now - arrival_);
-        }
-        if (shape_.work != nullptr) {
-          shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
-        }
+        // Measured from the arrival instant (mid-sleep), so latency and
+        // span cover the wake + ready-wait.
+        shape_.sink.complete(t, arrival_, now, shape_.sink.next_req++, 0);
         step_ = 0;
         continue;
       default:
@@ -107,16 +141,18 @@ guest::Action AbWorkerBehavior::next(guest::Task& t, sim::Time now,
 JbbWorkload::JbbWorkload(int warehouses, sim::Duration run_for,
                          sim::Duration txn_mean, sim::Duration cs_len,
                          int cs_every, bool cs_spin)
-    : Workload("specjbb"),
+    : ServerWorkload("specjbb", "jbb", run_for, default_slo()),
       warehouses_(warehouses),
-      run_for_(run_for),
       txn_mean_(txn_mean),
       cs_len_(cs_len),
       cs_every_(cs_every),
       cs_spin_(cs_spin) {}
 
+obs::SloSpec JbbWorkload::default_slo() {
+  return obs::SloSpec{sim::milliseconds(10), 0.999};
+}
+
 void JbbWorkload::instantiate(guest::GuestKernel& k) {
-  kernel_ = &k;
   sync_ = std::make_unique<sync::SyncContext>(k);
   k.set_memory_intensity(1.0);
   shape_ = std::make_unique<ServerShape>();
@@ -132,13 +168,7 @@ void JbbWorkload::instantiate(guest::GuestKernel& k) {
     shape_->spin =
         &sync_->make_spinlock(sync::SpinKind::kTicket, "jbb.shared");
   }
-  shape_->latency = &latency_;
-  shape_->work = &work_;
-  if (slo_ != nullptr) {
-    shape_->slo = slo_.get();
-    shape_->slo_class = 0;  // the class enable_slo() registered
-  }
-  if (req_spans_) shape_->span_log = &spans_;
+  shape_->sink = sink();
   for (int i = 0; i < warehouses_; ++i) {
     behaviors_.push_back(std::make_unique<JbbWorkerBehavior>(*shape_));
     tasks_.push_back(&k.create_task("jbb.wh" + std::to_string(i),
@@ -146,94 +176,30 @@ void JbbWorkload::instantiate(guest::GuestKernel& k) {
   }
 }
 
-double JbbWorkload::throughput() const {
-  return progress() / sim::to_sec(run_for_);
-}
-
-obs::SloSpec JbbWorkload::default_slo() {
-  return obs::SloSpec{sim::milliseconds(10), 0.999};
-}
-
-void JbbWorkload::enable_slo(sim::Duration window, obs::SloSpec spec) {
-  slo_ = std::make_unique<obs::SloTracker>(window);
-  slo_->add_class("jbb", spec);
-  if (shape_ != nullptr) {  // enabled after instantiate(): wire in place
-    shape_->slo = slo_.get();
-    shape_->slo_class = 0;
-  }
-}
-
-obs::SloResult JbbWorkload::slo_result(sim::Time end) {
-  if (slo_ == nullptr) return {};
-  slo_->flush(end);
-  return slo_->result();
-}
-
-void JbbWorkload::enable_request_spans() {
-  req_spans_ = true;
-  // Reserve a fig08-sized run's worth up front: the append is on the
-  // serving path, and growth reallocs would otherwise dominate its cost.
-  spans_.reserve(std::size_t{1} << 17);
-  if (shape_ != nullptr) shape_->span_log = &spans_;
-}
-
 AbWorkload::AbWorkload(int connections, sim::Duration run_for,
                        sim::Duration service_mean, sim::Duration think_mean)
-    : Workload("ab"),
+    : ServerWorkload("ab", "ab", run_for, default_slo()),
       connections_(connections),
-      run_for_(run_for),
       service_mean_(service_mean),
       think_mean_(think_mean) {}
 
+obs::SloSpec AbWorkload::default_slo() {
+  return obs::SloSpec{sim::milliseconds(20), 0.999};
+}
+
 void AbWorkload::instantiate(guest::GuestKernel& k) {
-  kernel_ = &k;
   sync_ = std::make_unique<sync::SyncContext>(k);
   k.set_memory_intensity(0.8);
   shape_ = std::make_unique<ServerShape>();
   shape_->end_time = k.engine().now() + run_for_;
   shape_->service_mean = service_mean_;
   shape_->think_mean = think_mean_;
-  shape_->latency = &latency_;
-  shape_->work = &work_;
-  if (slo_ != nullptr) {
-    shape_->slo = slo_.get();
-    shape_->slo_class = 0;
-  }
-  if (req_spans_) shape_->span_log = &spans_;
+  shape_->sink = sink();
   for (int i = 0; i < connections_; ++i) {
     behaviors_.push_back(std::make_unique<AbWorkerBehavior>(*shape_));
     tasks_.push_back(&k.create_task("ab.c" + std::to_string(i),
                                     *behaviors_.back(), i % k.n_cpus()));
   }
-}
-
-double AbWorkload::throughput() const {
-  return progress() / sim::to_sec(run_for_);
-}
-
-obs::SloSpec AbWorkload::default_slo() {
-  return obs::SloSpec{sim::milliseconds(20), 0.999};
-}
-
-void AbWorkload::enable_slo(sim::Duration window, obs::SloSpec spec) {
-  slo_ = std::make_unique<obs::SloTracker>(window);
-  slo_->add_class("ab", spec);
-  if (shape_ != nullptr) {
-    shape_->slo = slo_.get();
-    shape_->slo_class = 0;
-  }
-}
-
-obs::SloResult AbWorkload::slo_result(sim::Time end) {
-  if (slo_ == nullptr) return {};
-  slo_->flush(end);
-  return slo_->result();
-}
-
-void AbWorkload::enable_request_spans() {
-  req_spans_ = true;
-  spans_.reserve(std::size_t{1} << 17);  // see JbbWorkload
-  if (shape_ != nullptr) shape_->span_log = &spans_;
 }
 
 }  // namespace irs::wl

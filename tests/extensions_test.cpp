@@ -97,9 +97,11 @@ TEST(DelayPreempt, ShortCriticalSectionsReleaseInsideWindow) {
   w.run_for(sim::seconds(3));
   const auto& st = w.host().strategy_stats();
   ASSERT_GT(st.delay_grants, 0u);
-  // 130 us critical sections always finish inside the 500 us window.
+  // 130 us critical sections always finish inside the 500 us window: every
+  // window is released, except one the end of the run cuts open.
   EXPECT_EQ(st.delay_expired, 0u);
-  EXPECT_EQ(st.delay_released, st.delay_grants);
+  const bool open_at_end = w.host().vm(fg).vcpus().front()->sa_pending();
+  EXPECT_EQ(st.delay_released + (open_at_end ? 1u : 0u), st.delay_grants);
 }
 
 TEST(DelayPreempt, NoGrantsWithoutLocks) {

@@ -184,7 +184,8 @@ TEST(ObsAttribution, TwoVmScenarioChargesMeasuredSteal) {
   cfg.trace_capacity = 1 << 20;  // large enough that nothing drops
 
   exp::TraceDump dump;
-  const exp::RunResult r = exp::run_scenario(cfg, &dump);
+  const exp::RunResult r =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
   ASSERT_TRUE(r.finished);
   ASSERT_EQ(dump.meta.dropped, 0u);
 

@@ -337,7 +337,8 @@ TEST(ObsExport, ScenarioTraceDumpIsWellFormed) {
   cfg.seed = 11;
 
   exp::TraceDump dump;
-  const exp::RunResult r = exp::run_scenario(cfg, &dump);
+  const exp::RunResult r =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
   EXPECT_TRUE(r.finished);
   ASSERT_FALSE(dump.records.empty());
   ASSERT_EQ(dump.meta.vcpus.size(), 3u);  // 2 fg + 1 bg vCPU
@@ -372,7 +373,8 @@ TEST(ObsExport, RunWithoutDumpStaysUntraced) {
   cfg.work_scale = 0.05;
   cfg.seed = 11;
   exp::TraceDump dump;
-  const exp::RunResult traced = exp::run_scenario(cfg, &dump);
+  const exp::RunResult traced =
+      exp::run_scenario(cfg, exp::RunCapture{.dump = &dump});
   const exp::RunResult plain = exp::run_scenario(cfg);
   // Tracing must not perturb the simulation.
   EXPECT_EQ(plain.fg_makespan, traced.fg_makespan);

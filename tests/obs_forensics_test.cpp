@@ -85,33 +85,37 @@ TEST(ForensicsEndToEnd, SegmentsSumExactlyToEndToEndLatency) {
 // --- passivity -------------------------------------------------------------
 
 TEST(ForensicsEndToEnd, InstrumentationIsPassiveAndDeterministic) {
-  // Same seed with forensics off and on: every scheduling-visible field is
-  // bit-identical (the request brackets and the analyzer only change trace
-  // ring contents and the forensics fields). Two on-runs agree exactly.
-  exp::ScenarioConfig off_cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
-  off_cfg.forensics = false;
-  const exp::RunResult off = exp::run_scenario(off_cfg);
-  const exp::RunResult on1 =
-      exp::run_scenario(forensics_cfg("specjbb", core::Strategy::kIrs));
-  const exp::RunResult on2 =
-      exp::run_scenario(forensics_cfg("specjbb", core::Strategy::kIrs));
+  // On every server, same seed with forensics off and on: every
+  // scheduling-visible field is bit-identical (the request brackets and the
+  // analyzer only change trace ring contents and the forensics fields). Two
+  // on-runs agree exactly.
+  for (const char* fg : {"specjbb", "ab", "frontend"}) {
+    SCOPED_TRACE(fg);
+    exp::ScenarioConfig off_cfg = forensics_cfg(fg, core::Strategy::kIrs);
+    off_cfg.forensics = false;
+    const exp::RunResult off = exp::run_scenario(off_cfg);
+    const exp::RunResult on1 =
+        exp::run_scenario(forensics_cfg(fg, core::Strategy::kIrs));
+    const exp::RunResult on2 =
+        exp::run_scenario(forensics_cfg(fg, core::Strategy::kIrs));
 
-  EXPECT_TRUE(off.forensics.empty());
-  EXPECT_EQ(off.forensics_digest, 0u);
-  ASSERT_FALSE(on1.forensics.empty());
-  EXPECT_NE(on1.forensics_digest, 0u);
-  EXPECT_TRUE(on1.forensics == on2.forensics);
-  EXPECT_EQ(on1.forensics_digest, on2.forensics_digest);
+    EXPECT_TRUE(off.forensics.empty());
+    EXPECT_EQ(off.forensics_digest, 0u);
+    ASSERT_FALSE(on1.forensics.empty());
+    EXPECT_NE(on1.forensics_digest, 0u);
+    EXPECT_TRUE(on1.forensics == on2.forensics);
+    EXPECT_EQ(on1.forensics_digest, on2.forensics_digest);
 
-  // Mask the fields forensics is *allowed* to change (trace telemetry and
-  // its own block), then require full bit-identity.
-  exp::RunResult a = off;
-  exp::RunResult b = on1;
-  a.trace_dropped = b.trace_dropped = 0;
-  a.trace_total_recorded = b.trace_total_recorded = 0;
-  b.forensics = a.forensics;
-  b.forensics_digest = a.forensics_digest;
-  EXPECT_TRUE(exp::results_identical(a, b));
+    // Mask the fields forensics is *allowed* to change (trace telemetry and
+    // its own block), then require full bit-identity.
+    exp::RunResult a = off;
+    exp::RunResult b = on1;
+    a.trace_dropped = b.trace_dropped = 0;
+    a.trace_total_recorded = b.trace_total_recorded = 0;
+    b.forensics = a.forensics;
+    b.forensics_digest = a.forensics_digest;
+    EXPECT_TRUE(exp::results_identical(a, b));
+  }
 }
 
 // --- determinism across engine backends, batch sizes, thread counts -------

@@ -347,9 +347,10 @@ TEST(SloJson, RejectsMalformedFields) {
 
 // --- end-to-end through the runner ---------------------------------------
 
-exp::ScenarioConfig server_cfg(sim::Duration slo_window) {
+exp::ScenarioConfig server_cfg(sim::Duration slo_window,
+                              const char* fg = "specjbb") {
   exp::ScenarioConfig cfg;
-  cfg.fg = "specjbb";
+  cfg.fg = fg;
   cfg.bg = "hog";
   cfg.n_inter = 2;
   cfg.strategy = core::Strategy::kIrs;
@@ -359,34 +360,44 @@ exp::ScenarioConfig server_cfg(sim::Duration slo_window) {
 }
 
 TEST(SloEndToEnd, TrackingIsPassiveAndDeterministic) {
-  // Same seed with SLO tracking off, on (default window), and on again:
-  // every scheduling-visible metric must be bit-identical — recording is
-  // passive — and the two tracked runs must produce identical SLO blocks.
-  const exp::RunResult off = exp::run_scenario(server_cfg(-1));
-  const exp::RunResult on1 = exp::run_scenario(server_cfg(0));
-  const exp::RunResult on2 = exp::run_scenario(server_cfg(0));
+  // On every server, same seed with SLO tracking off, on (default window),
+  // and on again: every scheduling-visible metric must be bit-identical —
+  // recording is passive — and the two tracked runs must produce identical
+  // SLO blocks. The front-end adds its two refusal classes.
+  struct Server {
+    const char* fg;
+    const char* served_class;
+    std::size_t n_classes;
+  };
+  for (const Server& srv : {Server{"specjbb", "jbb", 1}, Server{"ab", "ab", 1},
+                            Server{"frontend", "fe", 3}}) {
+    SCOPED_TRACE(srv.fg);
+    const exp::RunResult off = exp::run_scenario(server_cfg(-1, srv.fg));
+    const exp::RunResult on1 = exp::run_scenario(server_cfg(0, srv.fg));
+    const exp::RunResult on2 = exp::run_scenario(server_cfg(0, srv.fg));
 
-  EXPECT_TRUE(off.slo.empty());
-  EXPECT_EQ(off.slo_digest, 0u);
-  ASSERT_FALSE(on1.slo.empty());
-  EXPECT_EQ(on1.throughput, off.throughput);
-  EXPECT_EQ(on1.lat_mean, off.lat_mean);
-  EXPECT_EQ(on1.lat_p99, off.lat_p99);
-  EXPECT_EQ(on1.fg_makespan, off.fg_makespan);
-  EXPECT_TRUE(on1.slo == on2.slo);
-  EXPECT_EQ(on1.slo_digest, on2.slo_digest);
-  EXPECT_NE(on1.slo_digest, 0u);
+    EXPECT_TRUE(off.slo.empty());
+    EXPECT_EQ(off.slo_digest, 0u);
+    ASSERT_FALSE(on1.slo.empty());
+    EXPECT_EQ(on1.throughput, off.throughput);
+    EXPECT_EQ(on1.lat_mean, off.lat_mean);
+    EXPECT_EQ(on1.lat_p99, off.lat_p99);
+    EXPECT_EQ(on1.fg_makespan, off.fg_makespan);
+    EXPECT_TRUE(on1.slo == on2.slo);
+    EXPECT_EQ(on1.slo_digest, on2.slo_digest);
+    EXPECT_NE(on1.slo_digest, 0u);
 
-  ASSERT_EQ(on1.slo.classes.size(), 1u);
-  const obs::SloClassResult& c = on1.slo.classes[0];
-  EXPECT_EQ(c.name, "jbb");
-  EXPECT_EQ(on1.slo.window, obs::SloTracker::kDefaultWindow);
-  EXPECT_GT(c.total.count(), 0u);
-  EXPECT_FALSE(c.windows.empty());
-  // The histogram saw exactly the completed transactions.
-  std::uint64_t windowed = 0;
-  for (const obs::SloWindow& win : c.windows) windowed += win.count;
-  EXPECT_EQ(windowed, c.total.count());
+    ASSERT_EQ(on1.slo.classes.size(), srv.n_classes);
+    const obs::SloClassResult& c = on1.slo.classes[0];
+    EXPECT_EQ(c.name, srv.served_class);
+    EXPECT_EQ(on1.slo.window, obs::SloTracker::kDefaultWindow);
+    EXPECT_GT(c.total.count(), 0u);
+    EXPECT_FALSE(c.windows.empty());
+    // The histogram saw exactly the completed requests.
+    std::uint64_t windowed = 0;
+    for (const obs::SloWindow& win : c.windows) windowed += win.count;
+    EXPECT_EQ(windowed, c.total.count());
+  }
 }
 
 TEST(SloEndToEnd, ResultJsonCarriesTheBlock) {

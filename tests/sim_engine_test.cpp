@@ -478,29 +478,6 @@ TEST(Timer, DisarmMoveAndArmAtClampToNow) {
   EXPECT_EQ(fired, (std::vector<Time>{milliseconds(3), milliseconds(3)}));
 }
 
-TEST(Timer, DetachLeavesTheQueuedEntryBehindAsAnEvent) {
-  // detach() is what overwriting an EventHandle with a new schedule() did:
-  // the old instance stays queued at its {when, seq} and fires on its own,
-  // while the timer carries on and only its newest arm can be disarmed.
-  Engine eng;
-  std::vector<int> order;
-  Timer t(eng, [&] { order.push_back(0); });
-  t.detach([&] { order.push_back(9); });  // unarmed: a no-op
-  EXPECT_EQ(eng.queued(), 0u);
-  t.arm(milliseconds(1));
-  eng.schedule(milliseconds(1), [&] { order.push_back(1); });
-  t.detach([&] { order.push_back(2); });
-  EXPECT_FALSE(t.pending());
-  EXPECT_EQ(eng.queued(), 2u);
-  t.arm(milliseconds(1));
-  t.disarm();  // only the newest arm
-  t.arm(milliseconds(1));
-  EXPECT_EQ(eng.queued(), 3u);
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
-  EXPECT_EQ(eng.queued(), 0u);
-}
-
 // --- Dispatch edge cases, on every queue backend ---
 
 class EngineDispatch : public ::testing::TestWithParam<QueueKind> {};

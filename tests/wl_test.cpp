@@ -1,6 +1,9 @@
 // Tests for the workload catalogue and behaviour models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/exp/runner.h"
 #include "src/wl/npb.h"
 #include "src/wl/parallel_workload.h"
@@ -300,6 +303,40 @@ TEST(Server, JbbSpinLockMakesLhpAttributionNonzeroUnderHog) {
   ASSERT_TRUE(spin.finished);
   EXPECT_GT(spin.throughput, 0.0);
   EXPECT_GT(spin.lhp, 0u);
+}
+
+TEST(Server, SinkFeedsEveryRecorderOnAllThreeServers) {
+  // With SLO and spans on, each served request reaches all four recorders
+  // once: one latency sample, one span, one sample in the served SLO class
+  // and one work unit — and no two spans share a request id.
+  for (const char* name : {"specjbb", "ab", "frontend"}) {
+    SCOPED_TRACE(name);
+    core::World w = make_world();
+    const auto vm = w.add_vm(pinned4(), false);
+    WorkloadOptions opts;
+    opts.server_duration = sim::milliseconds(300);
+    auto& server =
+        dynamic_cast<ServerWorkload&>(w.attach(vm, make_workload(name, opts)));
+    server.enable_slo();
+    server.enable_request_spans();
+    w.start();
+    ASSERT_TRUE(w.run_until_finished(vm, sim::seconds(60)));
+
+    const std::uint64_t served = server.latency().count();
+    EXPECT_GT(served, 100u);
+    EXPECT_EQ(server.request_spans().size(), served);
+    EXPECT_EQ(server.progress(), static_cast<double>(served));
+    const obs::SloResult slo = server.slo_result(w.engine().now());
+    ASSERT_FALSE(slo.classes.empty());
+    EXPECT_EQ(slo.classes[0].total.count(), served);
+
+    std::vector<std::int32_t> ids;
+    for (const obs::ReqSpan& sp : server.request_spans()) {
+      ids.push_back(sp.req);
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+  }
 }
 
 TEST(Histogram, PercentilesAndMean) {
