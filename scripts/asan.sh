@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Memory-safety pass: build with AddressSanitizer in a separate build tree
 # and run the full unit suite plus the dedicated jobs registered under
-# -DIRS_SANITIZE=address: obs_pipeline_asan (the trace pipeline hands
-# pointers between staging buffers, the shared ring, and exporters),
+# -DIRS_SANITIZE=address: obs_pipeline_asan (trace records go from
+# every producer into the shared ring, then to snapshots and exporters),
 # engine_queue_asan (wheel buckets / due list / spill heap move raw
 # 24-byte entries and erase them in place by slot; nested runs and
 # Timer callbacks re-enter the dispatch loop), and

@@ -23,13 +23,10 @@ Collector::Totals Collector::totals(int vm_i) const {
   for (const hv::Vcpu* v : host.vm(vm_i).vcpus()) {
     t.run += v->time_running(now);
     t.steal += v->time_runnable(now);
-    // LHP/LWP live on the vCPU's counter shard (shard vcpu_id + 1; shard 0
-    // is the host-global lane), which is what makes per-VM charge-back a
-    // plain sum over the VM's vCPUs.
-    t.lhp += host.counters().at(static_cast<std::size_t>(v->id()) + 1,
-                                obs::Cnt::kHvLhp);
-    t.lwp += host.counters().at(static_cast<std::size_t>(v->id()) + 1,
-                                obs::Cnt::kHvLwp);
+    // LHP/LWP are counted by the vCPU itself, which is what makes per-VM
+    // charge-back a plain sum over the VM's vCPUs.
+    t.lhp += v->counters().fold(obs::Cnt::kHvLhp);
+    t.lwp += v->counters().fold(obs::Cnt::kHvLwp);
   }
   return t;
 }

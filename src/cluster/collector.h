@@ -2,7 +2,7 @@
 // half of the collector→scheduler split. On a fixed cadence it walks the
 // host's VMs and snapshots, per VM, the window deltas of: CPU time run,
 // steal (runnable-wait) time, and the LHP/LWP charge-back counters the IRS
-// machinery already maintains per vCPU shard. The central
+// machinery already counts per vCPU. The central
 // cluster::Scheduler reads the latest window when it decides; the host's
 // ClusterHostLedger accumulates the same deltas for the run result.
 #pragma once

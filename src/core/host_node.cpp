@@ -13,9 +13,6 @@ HostNode::HostNode(sim::Engine& eng, HostNodeConfig cfg)
   if (cfg_.telemetry.trace_capacity > 0) {
     host_->trace().set_capacity(cfg_.telemetry.trace_capacity);
   }
-  if (cfg_.telemetry.trace_batch > 0) {
-    host_->trace_buffer().set_batch(cfg_.telemetry.trace_batch);
-  }
   switch (cfg_.strategy) {
     case Strategy::kBaseline:
       break;
@@ -100,9 +97,6 @@ hv::VmId HostNode::add_vm(const hv::VmConfig& vm_cfg, bool irs_capable,
     // shares one id space with the hv records.
     slot.kernel->set_trace_vcpu_base(vm.vcpus().front()->id());
   }
-  if (cfg_.telemetry.trace_batch > 0) {
-    slot.kernel->trace_buf().set_batch(cfg_.telemetry.trace_batch);
-  }
   slot.kernel->seed(cfg_.seed * 1000003ULL +
                     static_cast<std::uint64_t>(vm.id()) + 1);
   slots_.push_back(std::move(slot));
@@ -136,7 +130,6 @@ void HostNode::arm_sampler() {
   const std::string p = cfg_.prefix_series ? cfg_.name + "/" : "";
   hv::Host* host = host_.get();
   sim::Engine* eng = &eng_;
-  const obs::Counters* cnt = &host_->counters();
 
   // Host-wide tracks.
   sampler_->add_gauge(p + "hv/runnable_vcpus", [host]() {
@@ -145,14 +138,25 @@ void HostNode::arm_sampler() {
   sampler_->add_rate(p + "hv/steal_ns", [host, eng]() {
     return static_cast<std::int64_t>(host->total_steal(eng->now()));
   });
-  sampler_->add_counter(p + "hv/preemptions", cnt, obs::Cnt::kHvPreemptions);
-  sampler_->add_counter(p + "hv/lhp", cnt, obs::Cnt::kHvLhp);
-  sampler_->add_counter(p + "hv/lwp", cnt, obs::Cnt::kHvLwp);
-  sampler_->add_counter(p + "hv/sa_sent", cnt, obs::Cnt::kSaSent);
-  sampler_->add_counter(p + "hv/sa_acked", cnt, obs::Cnt::kSaAcked);
+  // Host-wide counter tracks: per-tick deltas of one counter summed over
+  // the vCPUs (cheaper per tick than folding every counter).
+  const auto host_rate = [&](const char* name, obs::Cnt c) {
+    sampler_->add_rate(p + name, [host, c]() {
+      std::int64_t n = 0;
+      for (int i = 0; i < host->n_vcpus(); ++i) {
+        n += host->vcpu(i).counters().fold(c);
+      }
+      return n;
+    });
+  };
+  host_rate("hv/preemptions", obs::Cnt::kHvPreemptions);
+  host_rate("hv/lhp", obs::Cnt::kHvLhp);
+  host_rate("hv/lwp", obs::Cnt::kHvLwp);
+  host_rate("hv/sa_sent", obs::Cnt::kSaSent);
+  host_rate("hv/sa_acked", obs::Cnt::kSaAcked);
 
   // Per-vCPU tracks: steal rate from runstate accounting, SA deliveries
-  // from the vCPU's counter shard (shard vcpu_id + 1; shard 0 is global).
+  // from the vCPU's own counters.
   for (int vm_i = 0; vm_i < host_->n_vms(); ++vm_i) {
     hv::Vm& vm = host_->vm(vm_i);
     const auto& vs = vm.vcpus();
@@ -163,8 +167,9 @@ void HostNode::arm_sampler() {
       sampler_->add_rate(base + "/steal_ns", [v, eng]() {
         return static_cast<std::int64_t>(v->time_runnable(eng->now()));
       });
-      sampler_->add_counter(base + "/sa_sent", cnt, obs::Cnt::kSaSent,
-                            v->id() + 1);
+      sampler_->add_rate(base + "/sa_sent", [v]() {
+        return v->counters().fold(obs::Cnt::kSaSent);
+      });
     }
   }
 

@@ -87,8 +87,7 @@ void fold_nodes(const std::vector<core::HostNode*>& nodes, RunResult* r) {
     if (obs::Sampler* smp = node->sampler()) {
       r->sampler_digest ^= smp->digest();
     }
-    sim::Trace& trace = node->host().trace();
-    if (trace.enabled()) trace.flush_buffers();  // count the staged tail too
+    const sim::Trace& trace = node->host().trace();
     r->trace_dropped += trace.dropped();
     r->trace_total_recorded += trace.total_recorded();
   }
@@ -103,7 +102,7 @@ void fold_nodes(const std::vector<core::HostNode*>& nodes, RunResult* r) {
 void fill_node_dump(core::HostNode& node, std::string title, int n_pcpus,
                     TraceDump* dump) {
   sim::Trace& trace = node.host().trace();
-  dump->records = trace.snapshot();  // flushes all staging buffers
+  dump->records = trace.snapshot();
   obs::TraceMeta meta;
   meta.title = std::move(title);
   meta.n_pcpus = n_pcpus;

@@ -43,8 +43,8 @@ struct ClusterOptions {
 };
 
 /// One experimental condition (paper §5.1 "Experimental Settings").
-/// Inherits the telemetry knobs (trace_capacity, trace_batch,
-/// sample_period, sample_capacity) from obs::TelemetryConfig — the one
+/// Inherits the telemetry knobs (trace_capacity, sample_period,
+/// sample_capacity) from obs::TelemetryConfig — the one
 /// definition shared with WorldConfig and HostNodeConfig.
 struct ScenarioConfig : obs::TelemetryConfig {
   core::Strategy strategy = core::Strategy::kBaseline;

@@ -341,9 +341,10 @@ void GuestCpu::finish_current() {
 void GuestCpu::trace_lane(std::int32_t task_id, const char* note) {
   if (task_id == lane_task_) return;
   lane_task_ = task_id;
-  kernel_.trace_buf().record(kernel_.engine().now(),
-                             sim::TraceKind::kGuestSwitch,
-                             kernel_.trace_gcpu(idx_), task_id, note);
+  if (sim::Trace* trace = kernel_.trace()) {
+    trace->record(kernel_.engine().now(), sim::TraceKind::kGuestSwitch,
+                  kernel_.trace_gcpu(idx_), task_id, note);
+  }
 }
 
 void GuestCpu::install(Task* next, bool resume) {
@@ -356,7 +357,7 @@ void GuestCpu::install(Task* next, bool resume) {
                                                 : TaskState::kRunning);
   next->slice_used = 0;
   pending_overhead_ += kernel_.config().ctx_switch_cost;
-  kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestCtxSwitches);
+  kernel_.counters().inc(obs::Cnt::kGuestCtxSwitches);
   if (resume) resume_current();
 }
 
@@ -423,7 +424,7 @@ void GuestCpu::enqueue_ready(Task& t, bool wake_preempt,
   const bool tag_preempt = (cfg.irs_enabled || cfg.irs_pull) &&
                            cfg.irs_wakeup_fix && current_->migrating_tag;
   if (tag_preempt) {
-    kernel_.counters().inc(guest_shard(idx_), obs::Cnt::kGuestTagPreemptions);
+    kernel_.counters().inc(obs::Cnt::kGuestTagPreemptions);
   }
   const bool beats =
       t.vruntime + cfg.wakeup_granularity < current_->vruntime;

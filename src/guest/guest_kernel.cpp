@@ -17,8 +17,7 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
       hc_(hc),
       spin_signal_(std::move(spin_signal)),
       lock_signal_(std::move(lock_signal)),
-      trace_(trace),
-      counters_(static_cast<std::size_t>(n_cpus) + 1) {
+      trace_(trace) {
   assert(n_cpus > 0);
   cpus_.reserve(static_cast<std::size_t>(n_cpus));
   for (int i = 0; i < n_cpus; ++i) {
@@ -30,28 +29,20 @@ GuestKernel::GuestKernel(sim::Engine& eng, GuestConfig cfg, int n_cpus,
 
 GuestKernel::~GuestKernel() = default;
 
-const GuestStats& GuestKernel::stats() const {
-  stats_cache_.guest_ctx_switches =
-      counters_.fold_u(obs::Cnt::kGuestCtxSwitches);
-  stats_cache_.wake_migrations =
-      counters_.fold_u(obs::Cnt::kGuestWakeMigrations);
-  stats_cache_.push_migrations =
-      counters_.fold_u(obs::Cnt::kGuestPushMigrations);
-  stats_cache_.pull_migrations =
-      counters_.fold_u(obs::Cnt::kGuestPullMigrations);
-  stats_cache_.irs_migrations = counters_.fold_u(obs::Cnt::kGuestIrsMigrations);
-  stats_cache_.stop_migrations =
-      counters_.fold_u(obs::Cnt::kGuestStopMigrations);
-  stats_cache_.sa_received = counters_.fold_u(obs::Cnt::kGuestSaReceived);
-  stats_cache_.sa_replied_block =
-      counters_.fold_u(obs::Cnt::kGuestSaRepliedBlock);
-  stats_cache_.sa_replied_yield =
-      counters_.fold_u(obs::Cnt::kGuestSaRepliedYield);
-  stats_cache_.tag_preemptions =
-      counters_.fold_u(obs::Cnt::kGuestTagPreemptions);
-  stats_cache_.irs_pull_migrations =
-      counters_.fold_u(obs::Cnt::kGuestIrsPullMigrations);
-  return stats_cache_;
+GuestStats GuestKernel::stats() const {
+  GuestStats s;
+  s.guest_ctx_switches = counters_.fold_u(obs::Cnt::kGuestCtxSwitches);
+  s.wake_migrations = counters_.fold_u(obs::Cnt::kGuestWakeMigrations);
+  s.push_migrations = counters_.fold_u(obs::Cnt::kGuestPushMigrations);
+  s.pull_migrations = counters_.fold_u(obs::Cnt::kGuestPullMigrations);
+  s.irs_migrations = counters_.fold_u(obs::Cnt::kGuestIrsMigrations);
+  s.stop_migrations = counters_.fold_u(obs::Cnt::kGuestStopMigrations);
+  s.sa_received = counters_.fold_u(obs::Cnt::kGuestSaReceived);
+  s.sa_replied_block = counters_.fold_u(obs::Cnt::kGuestSaRepliedBlock);
+  s.sa_replied_yield = counters_.fold_u(obs::Cnt::kGuestSaRepliedYield);
+  s.tag_preemptions = counters_.fold_u(obs::Cnt::kGuestTagPreemptions);
+  s.irs_pull_migrations = counters_.fold_u(obs::Cnt::kGuestIrsPullMigrations);
+  return s;
 }
 
 Task& GuestKernel::create_task(std::string name, Behavior& behavior,
@@ -76,8 +67,10 @@ void GuestKernel::start() {
     if (t.state() != TaskState::kReady || t.cpu() == kNoCpu) continue;
     // Boot enqueue counts as a wake for the timeline/attribution: the task
     // is runnable from here on even if its vCPU waits a while for a pCPU.
-    tbuf_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
-                 trace_gcpu(t.cpu()));
+    if (trace_ != nullptr) {
+      trace_->record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
+                     trace_gcpu(t.cpu()));
+    }
     enqueue_task(t, t.cpu(), /*wake_preempt=*/false);
   }
   // CPUs that boot with nothing to run still wake periodically for idle
@@ -150,8 +143,10 @@ void GuestKernel::wake_task(Task& t) {
   if (target != from) {
     note_migration(t, from, target, obs::Cnt::kGuestWakeMigrations);
   }
-  tbuf_.record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
-               trace_gcpu(target));
+  if (trace_ != nullptr) {
+    trace_->record(eng_.now(), sim::TraceKind::kGuestWake, t.id(),
+                   trace_gcpu(target));
+  }
   cpu(target).enqueue_ready(t, /*wake_preempt=*/true);
 }
 
@@ -209,20 +204,21 @@ void GuestKernel::migrate_enqueue(Task& t, int from, int to,
 void GuestKernel::note_migration(Task& t, int from, int to, obs::Cnt ctr) {
   if (from == to) return;
   ++t.stats.migrations;
-  counters_.inc(guest_shard(to), ctr);
+  counters_.inc(ctr);
   t.cache_debt += migration_penalty();
   if (ctr == obs::Cnt::kGuestIrsMigrations) {
     ++t.stats.irs_migrations;  // tag stays: the wake-up fix needs it
   } else {
     t.migrating_tag = false;  // a regular balancer move retires the tag
   }
+  if (trace_ == nullptr || !trace_->enabled()) return;
   // Carry the charged cache penalty (ns) in the note so forensics can
   // attribute the post-migration transient without re-deriving the model.
   char penalty[sim::TraceNote::kMax + 1];
   std::snprintf(penalty, sizeof penalty, "%lld",
                 static_cast<long long>(migration_penalty()));
-  tbuf_.record(eng_.now(), sim::TraceKind::kMigrate, t.id(), trace_gcpu(to),
-               penalty, trace_gcpu(from));
+  trace_->record(eng_.now(), sim::TraceKind::kMigrate, t.id(), trace_gcpu(to),
+                 penalty, trace_gcpu(from));
 }
 
 void GuestKernel::kick_if_blocked(int c) {

@@ -20,20 +20,13 @@
 #include "src/hv/guest_os.h"
 #include "src/hv/hypercalls.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
 namespace irs::guest {
 
-/// Shard convention for the guest-side obs::Counters: shard 0 is the
-/// kernel-global lane, shard cpu+1 is the guest CPU's own lane.
-inline std::size_t guest_shard(int cpu) {
-  return static_cast<std::size_t>(cpu) + 1;
-}
-
-/// Guest-wide counters: a report-time fold of the per-CPU obs::Counters
-/// shards (producers increment the sharded registry, never this struct).
+/// Guest-wide counters: a report-time copy of the kernel's obs::Counters
+/// (producers increment the counters, never this struct).
 struct GuestStats {
   std::uint64_t guest_ctx_switches = 0;
   std::uint64_t wake_migrations = 0;   // wake-up balancing moved a task
@@ -126,15 +119,13 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   [[nodiscard]] hv::Hypercalls& hypercalls() { return hc_; }
   [[nodiscard]] Migrator& migrator() { return *migrator_; }
   [[nodiscard]] LoadBalancer& balancer() { return *balancer_; }
-  /// Snapshot of the guest counters, folded across shards on demand.
-  [[nodiscard]] const GuestStats& stats() const;
-  /// The kernel's sharded counter registry (shard 0 global, shard cpu+1
-  /// per guest CPU — see guest_shard()).
+  /// Snapshot of the guest counters.
+  [[nodiscard]] GuestStats stats() const;
+  /// The kernel's counters (one set for all its guest CPUs).
   [[nodiscard]] obs::Counters& counters() { return counters_; }
   [[nodiscard]] const obs::Counters& counters() const { return counters_; }
-  /// The kernel's trace staging buffer (records are dropped when the host
-  /// trace is absent or disabled).
-  [[nodiscard]] obs::TraceBuffer& trace_buf() { return tbuf_; }
+  /// The host trace ring this kernel records into (nullptr: untraced).
+  [[nodiscard]] sim::Trace* trace() const { return trace_; }
   /// Guest trace records identify CPUs by *global* vCPU id so one trace can
   /// hold several VMs. The base is the global id of this VM's vCPU 0
   /// (host ids are contiguous per VM); standalone kernels leave it at 0.
@@ -171,12 +162,10 @@ class GuestKernel final : public hv::GuestOs, public SchedApi {
   std::function<void(int, bool)> lock_signal_;
   sim::Trace* trace_;
   obs::Counters counters_;
-  obs::TraceBuffer tbuf_{trace_};  // after trace_: hook deregistration order
   std::vector<std::unique_ptr<GuestCpu>> cpus_;
   std::deque<std::unique_ptr<Task>> tasks_;
   std::unique_ptr<Migrator> migrator_;
   std::unique_ptr<LoadBalancer> balancer_;
-  mutable GuestStats stats_cache_;  // fold target for stats()
   std::function<void(Task&)> on_finished_;
   double memory_intensity_ = 1.0;
   sim::Rng task_seed_rng_{0xB0BACAFE};

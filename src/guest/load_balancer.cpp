@@ -101,8 +101,7 @@ bool LoadBalancer::newidle(GuestCpu& me) {
       }
       guest::Task* t = peer.yank_current_if_preempted();
       if (t == nullptr) continue;
-      kernel_.counters().inc(guest_shard(me.idx()),
-                             obs::Cnt::kGuestIrsPullMigrations);
+      kernel_.counters().inc(obs::Cnt::kGuestIrsPullMigrations);
       t->migrating_tag = true;
       t->tag_runtime = 0;
       t->irs_home = c;

@@ -8,15 +8,8 @@ namespace irs::hv {
 
 CreditScheduler::CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                                  std::vector<Pcpu>& pcpus,
-                                 std::vector<Vm*>& vms,
-                                 obs::Counters& counters,
-                                 obs::TraceBuffer& tbuf)
-    : eng_(eng),
-      cfg_(cfg),
-      pcpus_(pcpus),
-      vms_(vms),
-      counters_(counters),
-      tbuf_(tbuf) {
+                                 std::vector<Vm*>& vms, sim::Trace& trace)
+    : eng_(eng), cfg_(cfg), pcpus_(pcpus), vms_(vms), trace_(trace) {
   for (auto& p : pcpus_) {
     Pcpu* pp = &p;
     p.slice_timer = sim::Timer(
@@ -36,17 +29,6 @@ void CreditScheduler::add_vcpu(Vcpu& v) {
         if (vp->vm().has_guest()) vp->vm().guest().vcpu_started(vp->idx());
       },
       "hv.vcpu_start");
-}
-
-const SchedStats& CreditScheduler::stats() const {
-  stats_cache_.context_switches = counters_.fold_u(obs::Cnt::kHvCtxSwitches);
-  stats_cache_.preemptions = counters_.fold_u(obs::Cnt::kHvPreemptions);
-  stats_cache_.lhp_events = counters_.fold_u(obs::Cnt::kHvLhp);
-  stats_cache_.lwp_events = counters_.fold_u(obs::Cnt::kHvLwp);
-  stats_cache_.wakeups = counters_.fold_u(obs::Cnt::kHvWakeups);
-  stats_cache_.steals = counters_.fold_u(obs::Cnt::kHvSteals);
-  stats_cache_.migrations = counters_.fold_u(obs::Cnt::kHvMigrations);
-  return stats_cache_;
 }
 
 void CreditScheduler::start() {
@@ -103,7 +85,7 @@ PcpuId CreditScheduler::cpu_pick(const Vcpu& v) const {
 
 void CreditScheduler::wake(Vcpu& v) {
   if (v.state() != VcpuState::kBlocked) return;  // spurious kick
-  counters_.inc(cnt_shard(v), obs::Cnt::kHvWakeups);
+  v.counters().inc(obs::Cnt::kHvWakeups);
   v.set_state(VcpuState::kRunnable, eng_.now());
   // credit1 BOOST: a waking vCPU that has not exhausted its credits gets
   // top priority so latency-sensitive guests run promptly.
@@ -112,11 +94,11 @@ void CreditScheduler::wake(Vcpu& v) {
   }
   const PcpuId target = cpu_pick(v);
   if (target != v.resident() && v.resident() != kNoPcpu) {
-    counters_.inc(cnt_shard(v), obs::Cnt::kHvMigrations);
+    v.counters().inc(obs::Cnt::kHvMigrations);
   }
   Pcpu& p = pcpus_[target];
   p.enqueue(&v);
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvWake, v.id(), target);
+  trace_.record(eng_.now(), sim::TraceKind::kHvWake, v.id(), target);
   // Tickle: preempt the current occupant if we beat its priority.
   if (p.idle() || (p.current() && prio_better(v, *p.current()))) {
     request_resched(p);
@@ -138,7 +120,7 @@ void CreditScheduler::block(Vcpu& v) {
   v.set_pcpu(kNoPcpu);
   p.set_current(nullptr);
   p.slice_timer.disarm();
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvBlock, v.id(), p.id());
+  trace_.record(eng_.now(), sim::TraceKind::kHvBlock, v.id(), p.id());
   request_resched(p);
 }
 
@@ -173,7 +155,7 @@ void CreditScheduler::force_preempt(Vcpu& v) {
 void CreditScheduler::deschedule_current(Pcpu& p, StopReason reason) {
   Vcpu* cur = p.current();
   assert(cur != nullptr && cur->state() == VcpuState::kRunning);
-  counters_.inc(cnt_shard(*cur), obs::Cnt::kHvPreemptions);
+  cur->counters().inc(obs::Cnt::kHvPreemptions);
   notify_stopped(*cur, reason);
   cur->set_state(VcpuState::kRunnable, eng_.now());
   cur->set_pcpu(kNoPcpu);
@@ -182,8 +164,8 @@ void CreditScheduler::deschedule_current(Pcpu& p, StopReason reason) {
   p.enqueue(cur);
   // OVER means the vCPU burned through its credit share: the deschedule is
   // a credit throttle, not generic contention — forensics separates the two.
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvPreempt, cur->id(), p.id(),
-               cur->prio() == CreditPrio::kOver ? "throttle" : "");
+  trace_.record(eng_.now(), sim::TraceKind::kHvPreempt, cur->id(), p.id(),
+                cur->prio() == CreditPrio::kOver ? "throttle" : "");
 }
 
 void CreditScheduler::notify_stopped(Vcpu& v, StopReason reason) {
@@ -198,14 +180,14 @@ void CreditScheduler::notify_stopped(Vcpu& v, StopReason reason) {
     // c carries the on-CPU task id and note the lock name so attribution
     // can charge the preemption window to a specific task/lock.
     if (pc.holds_lock) {
-      counters_.inc(cnt_shard(v), obs::Cnt::kHvLhp);
-      tbuf_.record(eng_.now(), sim::TraceKind::kLhp, v.id(), v.pcpu(),
-                   pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
+      v.counters().inc(obs::Cnt::kHvLhp);
+      trace_.record(eng_.now(), sim::TraceKind::kLhp, v.id(), v.pcpu(),
+                    pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
     }
     if (pc.waits_lock) {
-      counters_.inc(cnt_shard(v), obs::Cnt::kHvLwp);
-      tbuf_.record(eng_.now(), sim::TraceKind::kLwp, v.id(), v.pcpu(),
-                   pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
+      v.counters().inc(obs::Cnt::kHvLwp);
+      trace_.record(eng_.now(), sim::TraceKind::kLwp, v.id(), v.pcpu(),
+                    pc.lock_name != nullptr ? pc.lock_name : "", pc.task);
     }
   }
   v.guest_active = false;
@@ -217,13 +199,13 @@ void CreditScheduler::switch_to(Pcpu& p, Vcpu* next) {
     p.set_current(nullptr);
     return;
   }
-  counters_.inc(cnt_shard(*next), obs::Cnt::kHvCtxSwitches);
+  next->counters().inc(obs::Cnt::kHvCtxSwitches);
   next->set_state(VcpuState::kRunning, eng_.now());
   next->set_pcpu(p.id());
   next->set_resident(p.id());
   next->slice_start = eng_.now();
   p.set_current(next);
-  tbuf_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
+  trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, next->id(), p.id());
   // Slice-expiry timer.
   p.slice_timer.arm(cfg_.time_slice);
   // Deliver vcpu_started after the world-switch cost.
@@ -251,9 +233,9 @@ Vcpu* CreditScheduler::steal_for(Pcpu& p) {
   }
   if (best != nullptr) {
     from->remove(best);
-    counters_.inc(cnt_shard(*best), obs::Cnt::kHvSteals);
-    tbuf_.record(eng_.now(), sim::TraceKind::kHvSchedule, best->id(), p.id(),
-                 "steal");
+    best->counters().inc(obs::Cnt::kHvSteals);
+    trace_.record(eng_.now(), sim::TraceKind::kHvSchedule, best->id(), p.id(),
+                  "steal");
   }
   return best;
 }

@@ -17,17 +17,10 @@
 #include "src/hv/types.h"
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
-#include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
+#include "src/sim/trace.h"
 
 namespace irs::hv {
-
-/// Shard convention for the hypervisor-side obs::Counters: shard 0 is the
-/// global lane, shard v.id()+1 is the vCPU's own lane.
-inline std::size_t cnt_shard(const Vcpu& v) {
-  return static_cast<std::size_t>(v.id()) + 1;
-}
 
 /// Installed by the IRS SA sender. Called when the scheduler is about to
 /// involuntarily preempt `cur`; returning true defers the preemption (the
@@ -42,8 +35,8 @@ class PreemptHook {
 };
 
 /// Scheduler event counters (exported through Host for metrics/tests).
-/// A report-time fold of the per-vCPU obs::Counters shards; producers
-/// increment the sharded registry, never this struct.
+/// A report-time fold of the vCPUs' own obs::Counters; producers increment
+/// their vCPU's counters, never this struct.
 struct SchedStats {
   std::uint64_t context_switches = 0;
   std::uint64_t preemptions = 0;  // involuntary deschedules
@@ -58,7 +51,7 @@ class CreditScheduler {
  public:
   CreditScheduler(sim::Engine& eng, const HvConfig& cfg,
                   std::vector<Pcpu>& pcpus, std::vector<Vm*>& vms,
-                  obs::Counters& counters, obs::TraceBuffer& tbuf);
+                  sim::Trace& trace);
 
   /// Bind `v`'s start-notice timer; call once per vCPU as it is created.
   void add_vcpu(Vcpu& v);
@@ -85,9 +78,6 @@ class CreditScheduler {
 
   /// Install the IRS pre-preemption hook (nullptr to remove).
   void set_preempt_hook(PreemptHook* hook) { hook_ = hook; }
-
-  /// Snapshot of the scheduler counters, folded across shards on demand.
-  [[nodiscard]] const SchedStats& stats() const;
 
   /// Re-sort all runqueues after a global priority refresh.
   void rebuild_queues();
@@ -120,10 +110,8 @@ class CreditScheduler {
   const HvConfig& cfg_;
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
-  obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
   PreemptHook* hook_ = nullptr;
-  mutable SchedStats stats_cache_;  // fold target for stats()
   /// cpu_pick's per-pCPU load sums, reused so a wake never allocates.
   mutable std::vector<double> score_;
 };

@@ -41,24 +41,44 @@ Host::Host(sim::Engine& eng, HvConfig cfg, int n_pcpus) : eng_(eng), cfg_(cfg) {
   assert(n_pcpus > 0);
   pcpus_.reserve(static_cast<std::size_t>(n_pcpus));
   for (int i = 0; i < n_pcpus; ++i) pcpus_.emplace_back(i);
-  sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_,
-                                             counters_, tbuf_);
+  sched_ = std::make_unique<CreditScheduler>(eng_, cfg_, pcpus_, vms_, trace_);
   evtchn_ = std::make_unique<EventChannel>(*sched_);
 }
 
 Host::~Host() = default;
 
-const StrategyStats& Host::strategy_stats() const {
-  sstats_cache_.sa_sent = counters_.fold_u(obs::Cnt::kSaSent);
-  sstats_cache_.sa_acked = counters_.fold_u(obs::Cnt::kSaAcked);
-  sstats_cache_.sa_forced = counters_.fold_u(obs::Cnt::kSaForced);
-  sstats_cache_.sa_delay_total = counters_.fold(obs::Cnt::kSaDelayTotalNs);
-  sstats_cache_.ple_exits = counters_.fold_u(obs::Cnt::kPleExits);
-  sstats_cache_.co_stops = counters_.fold_u(obs::Cnt::kCoStops);
-  sstats_cache_.delay_grants = counters_.fold_u(obs::Cnt::kDelayGrants);
-  sstats_cache_.delay_released = counters_.fold_u(obs::Cnt::kDelayReleased);
-  sstats_cache_.delay_expired = counters_.fold_u(obs::Cnt::kDelayExpired);
-  return sstats_cache_;
+obs::Counters Host::counters() const {
+  obs::Counters sum;
+  for (const auto& v : vcpus_) sum += v->counters();
+  return sum;
+}
+
+SchedStats Host::sched_stats() const {
+  const obs::Counters c = counters();
+  SchedStats s;
+  s.context_switches = c.fold_u(obs::Cnt::kHvCtxSwitches);
+  s.preemptions = c.fold_u(obs::Cnt::kHvPreemptions);
+  s.lhp_events = c.fold_u(obs::Cnt::kHvLhp);
+  s.lwp_events = c.fold_u(obs::Cnt::kHvLwp);
+  s.wakeups = c.fold_u(obs::Cnt::kHvWakeups);
+  s.steals = c.fold_u(obs::Cnt::kHvSteals);
+  s.migrations = c.fold_u(obs::Cnt::kHvMigrations);
+  return s;
+}
+
+StrategyStats Host::strategy_stats() const {
+  const obs::Counters c = counters();
+  StrategyStats s;
+  s.sa_sent = c.fold_u(obs::Cnt::kSaSent);
+  s.sa_acked = c.fold_u(obs::Cnt::kSaAcked);
+  s.sa_forced = c.fold_u(obs::Cnt::kSaForced);
+  s.sa_delay_total = c.fold(obs::Cnt::kSaDelayTotalNs);
+  s.ple_exits = c.fold_u(obs::Cnt::kPleExits);
+  s.co_stops = c.fold_u(obs::Cnt::kCoStops);
+  s.delay_grants = c.fold_u(obs::Cnt::kDelayGrants);
+  s.delay_released = c.fold_u(obs::Cnt::kDelayReleased);
+  s.delay_expired = c.fold_u(obs::Cnt::kDelayExpired);
+  return s;
 }
 
 Vm& Host::add_vm(const VmConfig& vm_cfg) {
@@ -93,25 +113,22 @@ void Host::start() {
 }
 
 void Host::enable_irs() {
-  sa_sender_ =
-      std::make_unique<SaSender>(eng_, cfg_, *sched_, counters_, tbuf_);
+  sa_sender_ = std::make_unique<SaSender>(eng_, cfg_, *sched_, trace_);
   sched_->set_preempt_hook(sa_sender_.get());
 }
 
 void Host::enable_delay_preempt() {
-  delay_ = std::make_unique<DelayPreemptHook>(eng_, cfg_, *sched_, counters_);
+  delay_ = std::make_unique<DelayPreemptHook>(eng_, cfg_, *sched_);
   sched_->set_preempt_hook(delay_.get());
 }
 
 void Host::enable_ple() {
-  ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, counters_,
-                                      tbuf_);
+  ple_ = std::make_unique<PleMonitor>(eng_, cfg_, *sched_, pcpus_, trace_);
 }
 
 void Host::enable_relaxed_co() {
   relaxed_co_ = std::make_unique<RelaxedCoMonitor>(eng_, cfg_, *sched_,
-                                                   pcpus_, vms_, counters_,
-                                                   tbuf_);
+                                                   pcpus_, vms_, trace_);
 }
 
 int Host::runnable_vcpus() const {

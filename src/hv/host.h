@@ -12,7 +12,6 @@
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
 #include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
@@ -25,7 +24,7 @@ class DelayPreemptHook;
 class EventChannel;
 
 /// Counters for the optional strategy components. Like SchedStats, this is
-/// a report-time fold of the sharded obs::Counters registry.
+/// a report-time fold of the vCPUs' obs::Counters.
 struct StrategyStats {
   std::uint64_t sa_sent = 0;     // SA notifications delivered
   std::uint64_t sa_acked = 0;    // guest acknowledged in time
@@ -72,16 +71,13 @@ class Host {
   /// (sampler rate source).
   [[nodiscard]] sim::Duration total_steal(sim::Time now) const;
   [[nodiscard]] CreditScheduler& sched() { return *sched_; }
-  [[nodiscard]] const SchedStats& sched_stats() const { return sched_->stats(); }
-  /// Snapshot of the strategy counters, folded across shards on demand.
-  [[nodiscard]] const StrategyStats& strategy_stats() const;
+  /// Scheduler and strategy counters, folded over the vCPUs on demand.
+  [[nodiscard]] SchedStats sched_stats() const;
+  [[nodiscard]] StrategyStats strategy_stats() const;
   [[nodiscard]] sim::Trace& trace() { return trace_; }
-  /// The hypervisor's sharded counter registry (shard 0 global, shard
-  /// vcpu_id+1 per vCPU — see cnt_shard()).
-  [[nodiscard]] obs::Counters& counters() { return counters_; }
-  [[nodiscard]] const obs::Counters& counters() const { return counters_; }
-  /// The hypervisor's trace staging buffer.
-  [[nodiscard]] obs::TraceBuffer& trace_buffer() { return tbuf_; }
+  /// Every vCPU's counters summed (each vCPU owns its own set; see
+  /// Vcpu::counters()).
+  [[nodiscard]] obs::Counters counters() const;
 
   /// Per-VM hypercall surface handed to guest kernels.
   [[nodiscard]] Hypercalls& hypercalls(Vm& vm);
@@ -99,11 +95,7 @@ class Host {
 
   sim::Engine& eng_;
   HvConfig cfg_;
-  obs::Counters counters_;
   sim::Trace trace_;
-  // Declared after trace_: the buffer deregisters its flush hook on
-  // destruction, which must happen while trace_ is still alive.
-  obs::TraceBuffer tbuf_{&trace_};
   std::vector<Pcpu> pcpus_;
   std::vector<std::unique_ptr<Vm>> vm_storage_;
   std::vector<Vm*> vms_;
@@ -115,7 +107,6 @@ class Host {
   std::unique_ptr<DelayPreemptHook> delay_;
   std::unique_ptr<PleMonitor> ple_;
   std::unique_ptr<RelaxedCoMonitor> relaxed_co_;
-  mutable StrategyStats sstats_cache_;  // fold target for strategy_stats()
 };
 
 }  // namespace irs::hv

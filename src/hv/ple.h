@@ -11,8 +11,7 @@
 
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
-#include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
+#include "src/sim/trace.h"
 #include "src/sim/engine.h"
 
 namespace irs::hv {
@@ -20,8 +19,7 @@ namespace irs::hv {
 class PleMonitor {
  public:
   PleMonitor(sim::Engine& eng, const HvConfig& cfg, CreditScheduler& sched,
-             std::vector<Pcpu>& pcpus, obs::Counters& counters,
-             obs::TraceBuffer& tbuf);
+             std::vector<Pcpu>& pcpus, sim::Trace& trace);
 
   /// Guest spin-state edge (also re-signalled when a spinning vCPU regains
   /// a pCPU, since preemption resets the hardware's continuity counter).
@@ -35,8 +33,7 @@ class PleMonitor {
   const HvConfig& cfg_;
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
-  obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
 };
 
 }  // namespace irs::hv

@@ -14,8 +14,7 @@
 
 #include "src/hv/credit_scheduler.h"
 #include "src/hv/types.h"
-#include "src/obs/counters.h"
-#include "src/obs/trace_buffer.h"
+#include "src/sim/trace.h"
 #include "src/sim/engine.h"
 
 namespace irs::hv {
@@ -24,8 +23,7 @@ class RelaxedCoMonitor {
  public:
   RelaxedCoMonitor(sim::Engine& eng, const HvConfig& cfg,
                    CreditScheduler& sched, std::vector<Pcpu>& pcpus,
-                   std::vector<Vm*>& vms, obs::Counters& counters,
-                   obs::TraceBuffer& tbuf);
+                   std::vector<Vm*>& vms, sim::Trace& trace);
 
   /// Arm the periodic skew check. Call once.
   void start();
@@ -39,8 +37,7 @@ class RelaxedCoMonitor {
   CreditScheduler& sched_;
   std::vector<Pcpu>& pcpus_;
   std::vector<Vm*>& vms_;
-  obs::Counters& counters_;
-  obs::TraceBuffer& tbuf_;
+  sim::Trace& trace_;
 
   // progress_[vcpu global id] = cumulative run+blocked time at last period.
   std::vector<sim::Duration> last_snapshot_;

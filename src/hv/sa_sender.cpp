@@ -5,9 +5,8 @@
 namespace irs::hv {
 
 SaSender::SaSender(sim::Engine& eng, const HvConfig& cfg,
-                   CreditScheduler& sched, obs::Counters& counters,
-                   obs::TraceBuffer& tbuf)
-    : eng_(eng), cfg_(cfg), sched_(sched), counters_(counters), tbuf_(tbuf) {}
+                   CreditScheduler& sched, sim::Trace& trace)
+    : eng_(eng), cfg_(cfg), sched_(sched), trace_(trace) {}
 
 bool SaSender::delay_preemption(Vcpu& cur) {
   // Algorithm 1, send_sa_event: only runnable (still willing to run) vCPUs
@@ -18,8 +17,8 @@ bool SaSender::delay_preemption(Vcpu& cur) {
 
   cur.set_sa_pending(true);
   cur.sa_sent_at = eng_.now();
-  counters_.inc(cnt_shard(cur), obs::Cnt::kSaSent);
-  tbuf_.record(eng_.now(), sim::TraceKind::kSaSend, cur.id(), cur.pcpu());
+  cur.counters().inc(obs::Cnt::kSaSent);
+  trace_.record(eng_.now(), sim::TraceKind::kSaSend, cur.id(), cur.pcpu());
   cur.vm().guest().deliver_virq(cur.idx(), Virq::kSaUpcall);
 
   // Hard cap: a guest that never acknowledges loses the pCPU anyway.
@@ -29,9 +28,9 @@ bool SaSender::delay_preemption(Vcpu& cur) {
       [this, v]() {
         if (!v->sa_pending()) return;  // raced with a just-arrived ack
         v->set_sa_pending(false);
-        counters_.inc(cnt_shard(*v), obs::Cnt::kSaForced);
-        counters_.inc(cnt_shard(*v), obs::Cnt::kSaDelayTotalNs,
-                      eng_.now() - v->sa_sent_at);
+        v->counters().inc(obs::Cnt::kSaForced);
+        v->counters().inc(obs::Cnt::kSaDelayTotalNs,
+                          eng_.now() - v->sa_sent_at);
         sched_.force_preempt(*v);
       },
       "sa.cap");
@@ -39,10 +38,9 @@ bool SaSender::delay_preemption(Vcpu& cur) {
 }
 
 void SaSender::note_ack(Vcpu& v) {
-  counters_.inc(cnt_shard(v), obs::Cnt::kSaAcked);
-  counters_.inc(cnt_shard(v), obs::Cnt::kSaDelayTotalNs,
-                eng_.now() - v.sa_sent_at);
-  tbuf_.record(eng_.now(), sim::TraceKind::kSaAck, v.id(), v.pcpu());
+  v.counters().inc(obs::Cnt::kSaAcked);
+  v.counters().inc(obs::Cnt::kSaDelayTotalNs, eng_.now() - v.sa_sent_at);
+  trace_.record(eng_.now(), sim::TraceKind::kSaAck, v.id(), v.pcpu());
 }
 
 }  // namespace irs::hv

@@ -6,6 +6,7 @@
 
 #include "src/hv/hypercalls.h"
 #include "src/hv/types.h"
+#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
 
@@ -84,6 +85,11 @@ class Vcpu {
   /// descheduled: deceptive idleness (paper §5.6).
   [[nodiscard]] double load_avg(sim::Time now) const;
 
+  /// This vCPU's scheduler and strategy event counts (Host::counters()
+  /// sums them host-wide).
+  [[nodiscard]] obs::Counters& counters() { return counters_; }
+  [[nodiscard]] const obs::Counters& counters() const { return counters_; }
+
   // --- runstate accounting ---
   [[nodiscard]] RunstateInfo runstate(sim::Time now) const;
   [[nodiscard]] sim::Duration time_running(sim::Time now) const;
@@ -104,6 +110,7 @@ class Vcpu {
 
   bool sa_pending_ = false;
   bool spinning_ = false;
+  obs::Counters counters_;
 
   sim::Time state_since_ = 0;
   sim::Duration acc_[3] = {0, 0, 0};  // indexed by VcpuState

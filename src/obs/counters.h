@@ -1,19 +1,14 @@
-// Sharded counter/stat registry — the single observability accumulator for
-// the whole stack.
+// Named event counters — one flat set per counting entity.
 //
-// Model objects used to bump fields of shared structs (hv::SchedStats,
-// hv::StrategyStats, guest::GuestStats, a workload-wide progress double)
-// directly. Every producer now increments a named counter in its own
-// cache-line-padded shard — one shard per vCPU on the hypervisor side, per
-// guest CPU inside a kernel, per task inside a workload — and readers fold
-// the shards into the legacy report structs on demand. A future intra-run
-// parallel engine (or finer-grained sampling) therefore never serialises
-// producers on one cache line, and per-entity breakdowns come for free.
+// Each producer owns the set its readers need: every hv::Vcpu counts its
+// own scheduler and strategy events (the per-vCPU LHP/LWP charge-back and
+// the per-vCPU SA track read them directly), every guest kernel and every
+// workload keeps one set. Host-, kernel- and run-level totals are plain sums
+// over those owners, folded on demand by the readers.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 
 namespace irs::obs {
 
@@ -21,7 +16,7 @@ namespace irs::obs {
 /// produces it; the fold helpers in hv/ and guest/ map these back onto the
 /// legacy report structs.
 enum class Cnt : std::uint16_t {
-  // hv::CreditScheduler (per-vCPU shards)
+  // hv::CreditScheduler (per vCPU)
   kHvCtxSwitches,
   kHvPreemptions,
   kHvLhp,
@@ -29,7 +24,7 @@ enum class Cnt : std::uint16_t {
   kHvWakeups,
   kHvSteals,
   kHvMigrations,
-  // hv strategy components (per-vCPU shards)
+  // hv strategy components (per vCPU)
   kSaSent,
   kSaAcked,
   kSaForced,
@@ -39,7 +34,7 @@ enum class Cnt : std::uint16_t {
   kDelayGrants,
   kDelayReleased,
   kDelayExpired,
-  // guest::GuestKernel and friends (per-guest-CPU shards)
+  // guest::GuestKernel and friends (per guest kernel)
   kGuestCtxSwitches,
   kGuestWakeMigrations,
   kGuestPushMigrations,
@@ -51,7 +46,7 @@ enum class Cnt : std::uint16_t {
   kGuestSaRepliedYield,
   kGuestTagPreemptions,
   kGuestIrsPullMigrations,
-  // wl::* workload progress (per-task shards)
+  // wl::* workload progress (per workload)
   kWorkUnits,
 
   kCount,
@@ -59,53 +54,26 @@ enum class Cnt : std::uint16_t {
 
 inline constexpr std::size_t kCntCount = static_cast<std::size_t>(Cnt::kCount);
 
-/// A set of named counters split into cache-line-padded shards. Shard
-/// addresses are stable across growth (deque-backed), so producers may
-/// cache pointers into their shard.
+/// One entity's set of named counters.
 class Counters {
  public:
-  explicit Counters(std::size_t n_shards = 1) { ensure(n_shards); }
+  void inc(Cnt c, std::int64_t n = 1) { v_[static_cast<std::size_t>(c)] += n; }
 
-  /// Grow to at least `n` shards (never shrinks).
-  void ensure(std::size_t n) {
-    while (shards_.size() < n) shards_.emplace_back();
-  }
-
-  void inc(std::size_t shard, Cnt c, std::int64_t n = 1) {
-    if (shard >= shards_.size()) ensure(shard + 1);
-    shards_[shard].v[static_cast<std::size_t>(c)] += n;
-  }
-
-  /// One shard's value (0 for shards never grown).
-  [[nodiscard]] std::int64_t at(std::size_t shard, Cnt c) const {
-    if (shard >= shards_.size()) return 0;
-    return shards_[shard].v[static_cast<std::size_t>(c)];
-  }
-
-  /// Sum across all shards — the report-time fold.
   [[nodiscard]] std::int64_t fold(Cnt c) const {
-    std::int64_t total = 0;
-    for (const auto& s : shards_) total += s.v[static_cast<std::size_t>(c)];
-    return total;
+    return v_[static_cast<std::size_t>(c)];
   }
-
   [[nodiscard]] std::uint64_t fold_u(Cnt c) const {
     return static_cast<std::uint64_t>(fold(c));
   }
 
-  [[nodiscard]] std::size_t n_shards() const { return shards_.size(); }
-
-  void reset() {
-    for (auto& s : shards_) s.v.fill(0);
+  /// Add every counter of `o` into this set (the host-wide sum).
+  Counters& operator+=(const Counters& o) {
+    for (std::size_t i = 0; i < kCntCount; ++i) v_[i] += o.v_[i];
+    return *this;
   }
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::int64_t, kCntCount> v{};
-  };
-  static_assert(alignof(Shard) >= 64, "shards must be cache-line aligned");
-
-  std::deque<Shard> shards_;  // deque: stable shard addresses across ensure()
+  std::array<std::int64_t, kCntCount> v_{};
 };
 
 }  // namespace irs::obs

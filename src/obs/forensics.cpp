@@ -586,24 +586,17 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
   for (const TaskInfo& t : meta.tasks) max_task = std::max(max_task, t.id);
   az.tasks.resize(static_cast<std::size_t>(max_task + 1));
   if (meta.dropped > 0) {
-    // The retained-ring head. The ring overwrites oldest-by-arrival, but
-    // batched staging flushes whole blocks, so a stale buffer can land
-    // ancient records after mid-run slots were already overwritten —
-    // retention is not a clean seq suffix and "first retained record"
-    // would underestimate the damage. Scheduler evidence is complete only
-    // over the contiguous-by-seq tail ending at the newest record (seqs
-    // and timestamps are co-monotonic within a run); its earliest record
-    // marks the head. Synthesized request brackets never drop and carry
-    // seqs past the ring's, so they are skipped on the way back.
-    std::uint64_t expect = meta.total_recorded;  // one past the largest seq
-    for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      if (it->kind == sim::TraceKind::kReqBegin ||
-          it->kind == sim::TraceKind::kReqEnd) {
+    // The retained-ring head: the ring keeps exactly the newest seqs, and
+    // seqs and timestamps are co-monotonic (both drawn at record time), so
+    // scheduler evidence is complete from the first retained record on.
+    // Synthesized request brackets never drop, so they are skipped.
+    for (const sim::TraceRecord& r : records) {
+      if (r.kind == sim::TraceKind::kReqBegin ||
+          r.kind == sim::TraceKind::kReqEnd) {
         continue;
       }
-      if (it->seq != expect - 1) break;
-      expect = it->seq;
-      az.out.head_truncated_at = it->when;
+      az.out.head_truncated_at = r.when;
+      break;
     }
   }
   // Classes (and their violating-window sets) exist up front so an

@@ -1,10 +1,10 @@
-// Counter time-series sampler: periodic engine-driven snapshots of
-// obs::Counters (and arbitrary gauges) into fixed-capacity ring-buffered
-// series, exported as Perfetto "C" counter tracks.
+// Counter time-series sampler: periodic engine-driven snapshots of counters
+// and gauges into fixed-capacity ring-buffered series, exported as Perfetto
+// "C" counter tracks.
 //
 // The sampler lives entirely off the hot path: producers keep incrementing
-// their sharded counters exactly as before, and the sampler reads the
-// registry on a simulated-time cadence from an ordinary engine event. The
+// their own counters exactly as before, and the sampler reads them on a
+// simulated-time cadence from an ordinary engine event. The
 // tick is read-only — it mutates nothing any model object observes — so a
 // run with sampling enabled is bit-identical to the same run without it
 // (the engine's stable FIFO tie-break means extra same-time events never
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/counters.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
 
@@ -111,16 +110,12 @@ class Sampler {
   // counter track carries its last value forward, so only level changes
   // (and the first observation) need a point. This keeps idle channels
   // free — most channels are idle most ticks.
-  /// Each tick reads Counters::at(shard, c) (shard < 0: fold across all
-  /// shards) and pushes the nonzero deltas — events-per-period "rate"
-  /// view of a monotone counter.
-  void add_counter(std::string name, const Counters* src, Cnt c,
-                   int shard = -1);
   /// Each tick reads fn() and pushes it when it changed (instantaneous
   /// level, e.g. runnable vCPUs).
   void add_gauge(std::string name, std::function<std::int64_t()> fn);
-  /// Each tick reads fn() and pushes the nonzero deltas (monotone sources
-  /// that are not Counters, e.g. cumulative steal nanoseconds).
+  /// Each tick reads fn() and pushes the nonzero deltas — the
+  /// events-per-period "rate" view of a monotone source (an obs::Counters
+  /// fold, cumulative steal nanoseconds).
   void add_rate(std::string name, std::function<std::int64_t()> fn);
 
   /// Arm the periodic tick. Channels registered later join mid-run.
@@ -132,7 +127,7 @@ class Sampler {
   void sample_now();
 
   [[nodiscard]] sim::Duration period() const { return period_; }
-  [[nodiscard]] std::size_t n_series() const { return descs_.size(); }
+  [[nodiscard]] std::size_t n_series() const { return series_.size(); }
   [[nodiscard]] const Series& series(std::size_t i) const {
     return series_.at(i);
   }
@@ -146,27 +141,19 @@ class Sampler {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  enum class ChannelKind : std::uint8_t { kCounter, kGauge, kRate };
-  /// Read descriptor — everything a tick needs to pull one value. Channel
-  /// state lives in parallel arrays (descs_/prev_/primed_/fns_/series_)
-  /// rather than one fat struct: a tick strides a few contiguous cache
-  /// lines, and the rings are only touched on the (sparse) pushes.
-  struct Desc {
-    ChannelKind kind = ChannelKind::kGauge;
-    Cnt cnt = Cnt::kCount;
-    int shard = -1;
-    const Counters* src = nullptr;
-  };
+  enum class ChannelKind : std::uint8_t { kGauge, kRate };
+  // Channel state lives in parallel arrays (kinds_/prev_/primed_/fns_/
+  // series_) rather than one fat struct: a tick strides a few contiguous
+  // cache lines, and the rings are only touched on the (sparse) pushes.
 
-  std::size_t add_channel(std::string name, Desc d,
+  std::size_t add_channel(std::string name, ChannelKind kind,
                           std::function<std::int64_t()> fn);
-  [[nodiscard]] std::int64_t read_channel(std::size_t i) const;
   void tick();
 
   sim::Engine& eng_;
   sim::Duration period_;
   std::size_t capacity_;
-  std::vector<Desc> descs_;
+  std::vector<ChannelKind> kinds_;
   std::vector<std::int64_t> prev_;
   std::vector<std::uint8_t> primed_;  // gauge: first observation pushes
   std::vector<std::function<std::int64_t()>> fns_;

@@ -62,38 +62,7 @@ void Trace::push(const TraceRecord& rec) {
   ++dropped_;
 }
 
-void Trace::record(Time when, TraceKind kind, std::int32_t a, std::int32_t b,
-                   const char* note, std::int32_t c) {
-  if (!enabled()) return;
-  push(TraceRecord{when, alloc_seq(), kind, a, b, c, note});
-}
-
-void Trace::append_block(const TraceRecord* recs, std::size_t n) {
-  if (!enabled()) return;
-  for (std::size_t i = 0; i < n; ++i) push(recs[i]);
-}
-
-int Trace::add_flush_hook(std::function<void()> hook) {
-  const int id = next_hook_id_++;
-  flush_hooks_.emplace_back(id, std::move(hook));
-  return id;
-}
-
-void Trace::remove_flush_hook(int id) {
-  for (auto it = flush_hooks_.begin(); it != flush_hooks_.end(); ++it) {
-    if (it->first == id) {
-      flush_hooks_.erase(it);
-      return;
-    }
-  }
-}
-
-void Trace::flush_buffers() {
-  for (auto& [id, hook] : flush_hooks_) hook();
-}
-
-std::vector<TraceRecord> Trace::snapshot() {
-  flush_buffers();
+std::vector<TraceRecord> Trace::snapshot() const {
   std::vector<TraceRecord> out = ring_;
   std::sort(out.begin(), out.end(),
             [](const TraceRecord& x, const TraceRecord& y) {
@@ -103,8 +72,7 @@ std::vector<TraceRecord> Trace::snapshot() {
   return out;
 }
 
-std::size_t Trace::count(TraceKind kind) {
-  flush_buffers();
+std::size_t Trace::count(TraceKind kind) const {
   std::size_t n = 0;
   for (const auto& r : ring_) {
     if (r.kind == kind) ++n;
@@ -112,7 +80,7 @@ std::size_t Trace::count(TraceKind kind) {
   return n;
 }
 
-std::string Trace::dump() {
+std::string Trace::dump() const {
   std::ostringstream os;
   if (dropped_ > 0) {
     os << "[trace truncated: " << dropped_ << " of " << total_

@@ -2,15 +2,13 @@
 // scheduling decisions, and for the obs exporters. Disabled by default;
 // enabling keeps the most recent `capacity` records in a ring buffer.
 //
-// Producers normally go through an obs::TraceBuffer (per-module staging,
-// flushed in blocks — see src/obs/trace_buffer.h); the direct record() path
-// remains for low-rate producers and as the unbatched baseline the
-// bench_report overhead metric compares against.
+// Every producer (the hypervisor and each guest kernel) records straight
+// into the one ring, so the retained records are always exactly the newest
+// `capacity` sequence numbers.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,9 +78,8 @@ class TraceNote {
 struct TraceRecord {
   Time when = 0;
   /// Global record-order sequence number, assigned when the record is
-  /// produced (not when its staging buffer is flushed): snapshots sort by
-  /// (when, seq), so block-flushed records from different modules
-  /// interleave exactly as they were recorded.
+  /// produced. Sim time never runs backwards, so seq and `when` are
+  /// co-monotonic; snapshots sort by (when, seq).
   std::uint64_t seq = 0;
   TraceKind kind = TraceKind::kUser;
   std::int32_t a = -1;  // subsystem-defined (e.g. vCPU id)
@@ -104,34 +101,23 @@ class Trace {
   void set_capacity(std::size_t capacity);
 
   void record(Time when, TraceKind kind, std::int32_t a, std::int32_t b,
-              const char* note = "", std::int32_t c = -1);
+              const char* note = "", std::int32_t c = -1) {
+    if (!enabled()) return;
+    push(TraceRecord{when, next_seq_++, kind, a, b, c, note});
+  }
 
-  /// Sequence number for a record produced into a staging buffer. Must be
-  /// drawn at record time (see TraceRecord::seq).
-  [[nodiscard]] std::uint64_t alloc_seq() { return next_seq_++; }
+  /// No-op: records reach the ring as they are made. Kept for the
+  /// benchmark's per-layer ledger (perfbench/layers.cpp), its only caller.
+  void flush_buffers() {}
 
-  /// Bulk insert from a staging buffer. Records may arrive out of global
-  /// order across blocks; snapshot() restores (when, seq) order.
-  void append_block(const TraceRecord* recs, std::size_t n);
-
-  /// Staging buffers attached to this ring register a flush hook so that
-  /// snapshot()/count()/dump() always observe fully-flushed data. Returns a
-  /// registration id for remove_flush_hook().
-  int add_flush_hook(std::function<void()> hook);
-  void remove_flush_hook(int id);
-
-  /// Flush every attached staging buffer into the ring.
-  void flush_buffers();
-
-  /// Records in chronological order (oldest first). Flushes staging
-  /// buffers first.
-  [[nodiscard]] std::vector<TraceRecord> snapshot();
+  /// Records in chronological order (oldest first).
+  [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
   /// Count of records of a given kind currently retained.
-  [[nodiscard]] std::size_t count(TraceKind kind);
+  [[nodiscard]] std::size_t count(TraceKind kind) const;
 
   /// Human-readable dump (for failing-test diagnostics).
-  [[nodiscard]] std::string dump();
+  [[nodiscard]] std::string dump() const;
 
   /// Records lost to ring wrap-around since the last set_capacity/clear.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
@@ -150,8 +136,6 @@ class Trace {
   std::uint64_t dropped_ = 0;
   std::uint64_t total_ = 0;
   std::vector<TraceRecord> ring_;
-  std::vector<std::pair<int, std::function<void()>>> flush_hooks_;
-  int next_hook_id_ = 0;
 };
 
 }  // namespace irs::sim

@@ -52,7 +52,7 @@ PhasedShape make_phased_shape(const AppSpec& spec, int n_threads,
   return s;
 }
 
-guest::Action PhasedBehavior::next(guest::Task& t, sim::Time now,
+guest::Action PhasedBehavior::next(guest::Task&, sim::Time now,
                                    sim::Rng& rng) {
   (void)now;
   const PhasedShape& s = shape_;
@@ -88,7 +88,7 @@ guest::Action PhasedBehavior::next(guest::Task& t, sim::Time now,
         if (s.barrier != nullptr) return guest::Action::barrier(*s.barrier);
         continue;
       case 5:  // end of phase
-        if (s.work != nullptr) s.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
+        if (s.work != nullptr) s.work->inc(obs::Cnt::kWorkUnits);
         ++phase_;
         if (!s.endless && phase_ >= s.n_phases) {
           return guest::Action::finish();
@@ -158,7 +158,7 @@ guest::Action PipelineBehavior::next(guest::Task& t, sim::Time now,
               *shape_.pipes[static_cast<std::size_t>(stage_)]);
         }
         if (shape_.work != nullptr) {
-          shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
+          shape_.work->inc(obs::Cnt::kWorkUnits);
         }
         continue;
       default:
@@ -171,12 +171,12 @@ guest::Action PipelineBehavior::next(guest::Task& t, sim::Time now,
 // Work stealing & hog
 // ---------------------------------------------------------------------------
 
-guest::Action WorkStealBehavior::next(guest::Task& t, sim::Time now,
+guest::Action WorkStealBehavior::next(guest::Task&, sim::Time now,
                                       sim::Rng& rng) {
   (void)now;
   if (auto w = shape_.pool->take()) {
     if (shape_.work != nullptr) {
-      shape_.work->inc(task_shard(t), obs::Cnt::kWorkUnits);
+      shape_.work->inc(obs::Cnt::kWorkUnits);
     }
     return guest::Action::compute(rng.jittered(*w, shape_.spec.jitter));
   }

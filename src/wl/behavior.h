@@ -16,12 +16,6 @@
 
 namespace irs::wl {
 
-/// Shard convention for workload counters: shard 0 is the workload-global
-/// lane, shard task_id+1 is the task's own lane.
-inline std::size_t task_shard(const guest::Task& t) {
-  return static_cast<std::size_t>(t.id()) + 1;
-}
-
 /// Shared state of a phase-structured parallel application (barrier and/or
 /// critical-section rounds). One instance per workload.
 struct PhasedShape {
@@ -35,7 +29,7 @@ struct PhasedShape {
   sync::Barrier* barrier = nullptr;
   sync::Mutex* mutex = nullptr;
   sync::SpinLock* spin = nullptr;
-  /// Per-task phase counters (kWorkUnits lanes; may be null).
+  /// Completed-phase counter (kWorkUnits; may be null).
   obs::Counters* work = nullptr;
 };
 
@@ -68,7 +62,7 @@ struct PipelineShape {
   std::vector<sync::Pipe*> pipes;  // stages-1 pipes
   std::vector<int> stage_live;   // live workers per stage (for pipe close)
   int items_produced = 0;        // stage-0 generation counter
-  /// Per-task counters of items retired at the last stage (may be null).
+  /// Counter of items retired at the last stage (may be null).
   obs::Counters* work = nullptr;
 };
 
@@ -91,7 +85,7 @@ class PipelineBehavior final : public guest::Behavior {
 struct WorkStealShape {
   AppSpec spec;
   sync::WorkPool* pool = nullptr;
-  obs::Counters* work = nullptr;  // per-task chunk counters (may be null)
+  obs::Counters* work = nullptr;  // completed-chunk counter (may be null)
 };
 
 class WorkStealBehavior final : public guest::Behavior {

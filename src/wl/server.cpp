@@ -18,7 +18,7 @@ void RequestSink::complete(const guest::Task& t, sim::Time begin,
                                   qwait});
   }
   if (slo != nullptr) slo->record(cls, now, now - begin);
-  work->inc(task_shard(t), obs::Cnt::kWorkUnits);
+  work->inc(obs::Cnt::kWorkUnits);
 }
 
 ServerWorkload::ServerWorkload(std::string name, std::string slo_class,

@@ -30,7 +30,7 @@ namespace irs::wl {
 /// span log.
 struct RequestSink {
   core::Histogram* latency = nullptr;
-  /// Per-task counters of completed requests/transactions.
+  /// Counter of completed requests/transactions.
   obs::Counters* work = nullptr;
   /// Windowed SLO recorder (see obs/slo.h); null unless enable_slo().
   obs::SloTracker* slo = nullptr;

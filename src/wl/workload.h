@@ -35,15 +35,13 @@ class Workload {
     return true;
   }
 
-  /// Monotone work counter (phases / items / transactions completed),
-  /// folded across the per-task shards of the work registry.
+  /// Monotone work counter (phases / items / transactions completed).
   /// The throughput of endless background workloads is progress()/time.
   [[nodiscard]] double progress() const {
     return static_cast<double>(work_.fold(obs::Cnt::kWorkUnits));
   }
 
-  /// Per-task work-unit registry (behaviours increment their own shard;
-  /// see task_shard()).
+  /// The workload's work-unit counter (every behaviour increments it).
   [[nodiscard]] obs::Counters& work() { return work_; }
   [[nodiscard]] const obs::Counters& work() const { return work_; }
 
@@ -71,8 +69,7 @@ class Workload {
  protected:
   Workload(Workload&&) = default;
 
-  /// Shared by behaviours to report completed units of work, one
-  /// cache-line-padded shard per task.
+  /// Shared by behaviours to report completed units of work.
   obs::Counters work_;
 
   std::string name_;

@@ -303,19 +303,17 @@ TEST(ClusterAcceptance, IrsPlacementBeatsRandomUnderTwoHogs) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism battery: backends x trace batch x sweep threads x fold order
+// Determinism battery: backends x sweep threads x fold order
 // ---------------------------------------------------------------------------
 
 /// Two-cell grid (random + irs placement) with sampling and tracing armed
 /// so every digest in the result is live.
-std::vector<exp::ScenarioConfig> battery_cells(sim::QueueKind queue,
-                                               int trace_batch) {
+std::vector<exp::ScenarioConfig> battery_cells(sim::QueueKind queue) {
   std::vector<exp::ScenarioConfig> cfgs;
   for (const char* pol : {"random", "irs"}) {
     exp::ScenarioConfig cfg = cluster_cfg(pol, 3, sim::milliseconds(300));
     cfg.sample_period = obs::Sampler::kDefaultPeriod;
-    cfg.trace_capacity = 1 << 18;  // roomy: drops would couple to batching
-    cfg.trace_batch = trace_batch;
+    cfg.trace_capacity = 1 << 18;  // roomy: every digest sees every record
     cfg.queue = queue;
     cfgs.push_back(cfg);
   }
@@ -330,10 +328,9 @@ TEST(ClusterDeterminism, EveryConfigLayerDefaultsToTheWheelBackend) {
   EXPECT_EQ(exp::ScenarioConfig{}.queue, sim::QueueKind::kHybridWheel);
 }
 
-TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
-  const auto ref =
-      exp::run_sweep(battery_cells(sim::QueueKind::kBinaryHeap, 1),
-                     /*n_threads=*/1);
+TEST(ClusterDeterminism, BitIdenticalAcrossBackendsAndThreads) {
+  const auto ref = exp::run_sweep(battery_cells(sim::QueueKind::kBinaryHeap),
+                                  /*n_threads=*/1);
   ASSERT_EQ(ref.size(), 2u);
   for (const exp::RunResult& r : ref) {
     ASSERT_TRUE(r.finished);
@@ -344,25 +341,21 @@ TEST(ClusterDeterminism, BitIdenticalAcrossBackendsBatchAndThreads) {
   for (const sim::QueueKind queue :
        {sim::QueueKind::kBinaryHeap, sim::QueueKind::kQuadHeap,
         sim::QueueKind::kHybridWheel}) {
-    for (const int batch : {1, 64}) {
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE(testing::Message()
-                     << "queue=" << static_cast<int>(queue)
-                     << " batch=" << batch << " threads=" << threads);
-        const auto got = exp::run_sweep(battery_cells(queue, batch), threads);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          SCOPED_TRACE(i);
-          EXPECT_TRUE(exp::results_identical(ref[i], got[i]));
-        }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "queue=" << static_cast<int>(queue)
+                                      << " threads=" << threads);
+      const auto got = exp::run_sweep(battery_cells(queue), threads);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(exp::results_identical(ref[i], got[i]));
       }
     }
   }
 }
 
 TEST(ClusterDeterminism, TwoShardNdjsonFoldsBitIdenticallyInEitherOrder) {
-  const auto cfgs =
-      battery_cells(sim::QueueKind::kHybridWheel, /*trace_batch=*/64);
+  const auto cfgs = battery_cells(sim::QueueKind::kHybridWheel);
   const auto runs = exp::run_sweep(cfgs, /*n_threads=*/2);
   ASSERT_EQ(runs.size(), 2u);
 

@@ -4,6 +4,7 @@
 // hogs; IRS shifts the mass back to run/ready-wait).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -118,13 +119,12 @@ TEST(ForensicsEndToEnd, InstrumentationIsPassiveAndDeterministic) {
   }
 }
 
-// --- determinism across engine backends, batch sizes, thread counts -------
+// --- determinism across engine backends and thread counts -----------------
 
-TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsBatchesAndThreads) {
+TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsAndThreads) {
   // The forensics block (and the whole result line) must be a pure function
-  // of (config, seed): the event-queue backend, the trace staging batch
-  // size, and the sweep pool's thread count are implementation details that
-  // may not leak into the JSON.
+  // of (config, seed): the event-queue backend and the sweep pool's thread
+  // count are implementation details that may not leak into the JSON.
   std::vector<exp::ScenarioConfig> grid;
   for (std::uint64_t seed : {1ull, 7ull}) {
     exp::ScenarioConfig cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
@@ -145,17 +145,11 @@ TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsBatchesAndThreads) {
   for (const auto queue :
        {sim::QueueKind::kBinaryHeap, sim::QueueKind::kQuadHeap,
         sim::QueueKind::kHybridWheel}) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-      auto g = grid;
-      for (auto& cfg : g) {
-        cfg.queue = queue;
-        cfg.trace_batch = batch;
-      }
-      for (const int threads : {1, 4}) {
-        EXPECT_EQ(render(exp::run_sweep(g, threads)), reference)
-            << "queue " << static_cast<int>(queue) << " batch " << batch
-            << " threads " << threads;
-      }
+    auto g = grid;
+    for (auto& cfg : g) cfg.queue = queue;
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(render(exp::run_sweep(g, threads)), reference)
+          << "queue " << static_cast<int>(queue) << " threads " << threads;
     }
   }
 }
@@ -208,6 +202,32 @@ TEST(ForensicsTruncation, WrappedSpansAreReportedNeverCharged) {
   // Across the whole fuzz range at least one capacity must actually have
   // cut a span in half — otherwise the test proves nothing.
   EXPECT_TRUE(saw_truncation);
+}
+
+TEST(ForensicsTruncation, HeadIsTheFirstRetainedRecord) {
+  // Every producer records straight into the ring, so a wrapped ring keeps
+  // exactly seqs [total - capacity, total) and the truncation head is the
+  // first retained scheduler record.
+  exp::ScenarioConfig cfg = forensics_cfg("specjbb", core::Strategy::kIrs);
+  cfg.server_duration = sim::milliseconds(200);
+  cfg.trace_capacity = 512;
+  exp::TraceDump d;
+  const exp::RunResult r = exp::run_scenario(cfg, exp::RunCapture{.dump = &d});
+  ASSERT_GT(r.trace_dropped, 0u);
+  const sim::TraceRecord* first = nullptr;
+  std::uint64_t min_seq = UINT64_MAX;
+  for (const sim::TraceRecord& rec : d.records) {
+    if (rec.kind == sim::TraceKind::kReqBegin ||
+        rec.kind == sim::TraceKind::kReqEnd) {
+      continue;
+    }
+    if (first == nullptr) first = &rec;
+    min_seq = std::min(min_seq, rec.seq);
+  }
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->seq, min_seq);  // time order and seq order agree
+  EXPECT_EQ(min_seq, r.trace_total_recorded - cfg.trace_capacity);
+  EXPECT_EQ(r.forensics.head_truncated_at, first->when);
 }
 
 // --- serialization ---------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/exp/runner.h"
@@ -18,19 +19,22 @@ namespace {
 
 TEST(ObsSampler, CounterChannelsRecordDeltasGaugesRecordLevels) {
   sim::Engine eng;
-  Counters cnt(2);
+  Counters a;  // two counting entities, e.g. two vCPUs
+  Counters b;
   std::int64_t level = 0;
   Sampler s(eng, sim::microseconds(100));
-  s.add_counter("c", &cnt, Cnt::kWorkUnits);
-  s.add_counter("c0", &cnt, Cnt::kWorkUnits, /*shard=*/0);
+  s.add_rate("c", [&]() {
+    return a.fold(Cnt::kWorkUnits) + b.fold(Cnt::kWorkUnits);
+  });
+  s.add_rate("c0", [&]() { return a.fold(Cnt::kWorkUnits); });
   s.add_gauge("g", [&]() { return level; });
   s.start();
 
   // Two increments land in tick 1's window, none in tick 2's — and series
   // are sparse, so the idle tick 2 pushes nothing anywhere.
   eng.schedule(sim::microseconds(10), [&]() {
-    cnt.inc(0, Cnt::kWorkUnits);
-    cnt.inc(1, Cnt::kWorkUnits);
+    a.inc(Cnt::kWorkUnits);
+    b.inc(Cnt::kWorkUnits);
     level = 5;
   });
   eng.run_until(sim::microseconds(250));
@@ -39,10 +43,10 @@ TEST(ObsSampler, CounterChannelsRecordDeltasGaugesRecordLevels) {
   const auto c = s.series(0).samples();
   ASSERT_EQ(c.size(), 1u);  // tick 2's zero delta is implicit
   EXPECT_EQ(c[0].when, sim::microseconds(100));
-  EXPECT_EQ(c[0].value, 2);  // fold across shards
+  EXPECT_EQ(c[0].value, 2);  // summed across both entities
   const auto c0 = s.series(1).samples();
   ASSERT_EQ(c0.size(), 1u);
-  EXPECT_EQ(c0[0].value, 1);  // shard 0 only
+  EXPECT_EQ(c0[0].value, 1);  // the first entity only
   const auto g = s.series(2).samples();
   ASSERT_EQ(g.size(), 1u);  // level unchanged at tick 2 -> carried forward
   EXPECT_EQ(g[0].value, 5);
@@ -135,6 +139,43 @@ TEST(ObsSampler, SeriesByteIdenticalAcrossRepeatRuns) {
       EXPECT_EQ(d1.series[i].samples[j].value, d2.series[i].samples[j].value);
     }
   }
+}
+
+TEST(ObsSampler, PerVcpuSaSentSeriesSumToTheHostSeries) {
+  // The host-wide hv/sa_sent track is the per-tick delta of the vCPUs'
+  // summed counters; each hv/<vm>/vcpuN/sa_sent track reads one vCPU's own
+  // counter. Per tick, the per-vCPU deltas must add up to the host's.
+  exp::ScenarioConfig cfg;
+  cfg.fg = "streamcluster";
+  cfg.strategy = core::Strategy::kIrs;
+  cfg.n_inter = 2;
+  cfg.work_scale = 0.1;
+  cfg.seed = 9;
+  cfg.sample_period = sim::milliseconds(1);
+  exp::TraceDump d;
+  const exp::RunResult r = exp::run_scenario(cfg, exp::RunCapture{.dump = &d});
+  ASSERT_TRUE(r.finished);
+  ASSERT_GT(r.sa_sent, 0u);
+  std::map<sim::Time, std::int64_t> host, vcpus;
+  int n_vcpu_series = 0;
+  for (const SeriesData& sd : d.series) {
+    const bool is_host = sd.name == "hv/sa_sent";
+    const bool is_vcpu = sd.name.starts_with("hv/") &&
+                         sd.name.ends_with("/sa_sent") && !is_host;
+    if (!is_host && !is_vcpu) continue;
+    EXPECT_EQ(sd.dropped, 0u) << sd.name;
+    n_vcpu_series += is_vcpu ? 1 : 0;
+    for (const Sample& smp : sd.samples) {
+      (is_host ? host : vcpus)[smp.when] += smp.value;
+    }
+  }
+  EXPECT_EQ(n_vcpu_series, cfg.n_vcpus + cfg.n_inter);
+  std::int64_t total = 0;
+  for (const auto& [when, v] : host) total += v;
+  // SAs sent after the last tick are in no sample yet.
+  EXPECT_GT(total, 0);
+  EXPECT_LE(total, static_cast<std::int64_t>(r.sa_sent));
+  EXPECT_EQ(host, vcpus);
 }
 
 // Also runs under the obs_pipeline_tsan CTest job (scripts/tsan.sh): the

@@ -1,14 +1,18 @@
-// Unit tests for the observability substrate: sharded counters, the batched
-// trace pipeline (staging buffers over the shared ring), ring wrap-around
-// accounting, owned trace notes, and the typed snapshot query helper.
+// Unit tests for the observability substrate: per-entity counters and their
+// host-wide folds, the trace ring (record order across producers, wrap-around
+// retention and accounting), owned trace notes, and the typed snapshot query
+// helper.
 #include "src/obs/counters.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
-#include "src/obs/trace_buffer.h"
+#include "src/core/world.h"
+#include "src/obs/trace_query.h"
 #include "src/sim/trace.h"
+#include "src/wl/registry.h"
 
 namespace irs::obs {
 namespace {
@@ -18,44 +22,197 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(ObsCounters, FoldSumsAcrossShards) {
-  Counters c(4);
-  c.inc(0, Cnt::kHvCtxSwitches);
-  c.inc(1, Cnt::kHvCtxSwitches, 10);
-  c.inc(3, Cnt::kHvCtxSwitches, 100);
-  EXPECT_EQ(c.at(0, Cnt::kHvCtxSwitches), 1);
-  EXPECT_EQ(c.at(1, Cnt::kHvCtxSwitches), 10);
-  EXPECT_EQ(c.at(2, Cnt::kHvCtxSwitches), 0);
-  EXPECT_EQ(c.fold(Cnt::kHvCtxSwitches), 111);
-  EXPECT_EQ(c.fold_u(Cnt::kHvCtxSwitches), 111u);
-  EXPECT_EQ(c.fold(Cnt::kHvPreemptions), 0);  // other counters untouched
-}
-
-TEST(ObsCounters, IncAutoGrowsShards) {
-  Counters c(1);
-  EXPECT_EQ(c.n_shards(), 1u);
-  c.inc(7, Cnt::kSaSent, 3);
-  EXPECT_GE(c.n_shards(), 8u);
-  EXPECT_EQ(c.at(7, Cnt::kSaSent), 3);
-  EXPECT_EQ(c.fold(Cnt::kSaSent), 3);
+  // Each entity owns one set; a reader's total is the sum of the sets.
+  Counters a;
+  Counters b;
+  a.inc(Cnt::kHvCtxSwitches);
+  b.inc(Cnt::kHvCtxSwitches, 10);
+  b.inc(Cnt::kHvCtxSwitches, 100);
+  EXPECT_EQ(a.fold(Cnt::kHvCtxSwitches), 1);
+  EXPECT_EQ(b.fold(Cnt::kHvCtxSwitches), 110);
+  Counters sum;
+  sum += a;
+  sum += b;
+  EXPECT_EQ(sum.fold(Cnt::kHvCtxSwitches), 111);
+  EXPECT_EQ(sum.fold_u(Cnt::kHvCtxSwitches), 111u);
+  EXPECT_EQ(sum.fold(Cnt::kHvPreemptions), 0);  // other counters untouched
 }
 
 TEST(ObsCounters, CountersAreIndependentWithinAShard) {
-  Counters c(2);
-  c.inc(1, Cnt::kSaSent, 5);
-  c.inc(1, Cnt::kSaAcked, 4);
-  c.inc(1, Cnt::kSaDelayTotalNs, 123456);
-  EXPECT_EQ(c.at(1, Cnt::kSaSent), 5);
-  EXPECT_EQ(c.at(1, Cnt::kSaAcked), 4);
-  EXPECT_EQ(c.at(1, Cnt::kSaDelayTotalNs), 123456);
+  Counters c;
+  c.inc(Cnt::kSaSent, 5);
+  c.inc(Cnt::kSaAcked, 4);
+  c.inc(Cnt::kSaDelayTotalNs, 123456);
+  EXPECT_EQ(c.fold(Cnt::kSaSent), 5);
+  EXPECT_EQ(c.fold(Cnt::kSaAcked), 4);
+  EXPECT_EQ(c.fold(Cnt::kSaDelayTotalNs), 123456);
+  EXPECT_EQ(c.fold(Cnt::kSaForced), 0);
 }
 
-TEST(ObsCounters, ResetZeroesEveryShard) {
-  Counters c(3);
-  c.inc(0, Cnt::kWorkUnits, 9);
-  c.inc(2, Cnt::kWorkUnits, 9);
-  c.reset();
-  EXPECT_EQ(c.fold(Cnt::kWorkUnits), 0);
-  EXPECT_EQ(c.n_shards(), 3u);  // shard count survives a reset
+/// A small IRS world under CPU-hog interference: enough preemptions, SA
+/// traffic and guest migrations that every fold below reads nonzero.
+std::unique_ptr<core::World> irs_world() {
+  core::WorldConfig wc;
+  wc.n_pcpus = 2;
+  wc.strategy = core::Strategy::kIrs;
+  wc.seed = 5;
+  auto world = std::make_unique<core::World>(wc);
+  hv::VmConfig fg;
+  fg.name = "fg";
+  fg.n_vcpus = 2;
+  fg.pin_map = {0, 1};
+  const hv::VmId fg_id = world->add_vm(fg, /*irs_capable=*/true);
+  wl::WorkloadOptions fo;
+  fo.n_threads = 2;
+  fo.endless = true;
+  world->attach(fg_id, wl::make_workload("streamcluster", fo));
+  hv::VmConfig bg;
+  bg.name = "bg";
+  bg.n_vcpus = 1;
+  bg.pin_map = {0};
+  const hv::VmId bg_id = world->add_vm(bg, /*irs_capable=*/false);
+  wl::WorkloadOptions bo;
+  bo.n_threads = 1;
+  bo.endless = true;
+  world->attach(bg_id, wl::make_workload("hog", bo));
+  world->start();
+  world->run_for(sim::milliseconds(400));
+  return world;
+}
+
+TEST(ObsCounters, HostCountersAreTheSumOfItsVcpus) {
+  const auto world = irs_world();
+  hv::Host& host = world->host();
+  Counters sum;
+  for (int i = 0; i < host.n_vcpus(); ++i) sum += host.vcpu(i).counters();
+  const Counters total = host.counters();
+  for (std::size_t c = 0; c < kCntCount; ++c) {
+    EXPECT_EQ(total.fold(static_cast<Cnt>(c)), sum.fold(static_cast<Cnt>(c)))
+        << "counter " << c;
+  }
+  EXPECT_GT(total.fold(Cnt::kHvCtxSwitches), 0);
+  EXPECT_GT(total.fold(Cnt::kSaSent), 0);
+  // Only the interfered foreground vCPU 0 is ever asked to give way.
+  EXPECT_GT(host.vcpu(0).counters().fold(Cnt::kSaSent), 0);
+  EXPECT_EQ(host.vcpu(2).counters().fold(Cnt::kSaSent), 0);
+}
+
+TEST(ObsCounters, HostStatsAreFoldsOfTheVcpuSum) {
+  const auto world = irs_world();
+  hv::Host& host = world->host();
+  const Counters c = host.counters();
+  const hv::SchedStats ss = host.sched_stats();
+  EXPECT_EQ(ss.context_switches, c.fold_u(Cnt::kHvCtxSwitches));
+  EXPECT_EQ(ss.preemptions, c.fold_u(Cnt::kHvPreemptions));
+  EXPECT_EQ(ss.lhp_events, c.fold_u(Cnt::kHvLhp));
+  EXPECT_EQ(ss.lwp_events, c.fold_u(Cnt::kHvLwp));
+  EXPECT_EQ(ss.wakeups, c.fold_u(Cnt::kHvWakeups));
+  EXPECT_EQ(ss.steals, c.fold_u(Cnt::kHvSteals));
+  EXPECT_EQ(ss.migrations, c.fold_u(Cnt::kHvMigrations));
+  const hv::StrategyStats st = host.strategy_stats();
+  EXPECT_EQ(st.sa_sent, c.fold_u(Cnt::kSaSent));
+  EXPECT_EQ(st.sa_acked, c.fold_u(Cnt::kSaAcked));
+  EXPECT_EQ(st.sa_forced, c.fold_u(Cnt::kSaForced));
+  EXPECT_EQ(st.sa_delay_total, c.fold(Cnt::kSaDelayTotalNs));
+  EXPECT_EQ(st.ple_exits, c.fold_u(Cnt::kPleExits));
+  EXPECT_EQ(st.co_stops, c.fold_u(Cnt::kCoStops));
+  EXPECT_EQ(st.delay_grants, c.fold_u(Cnt::kDelayGrants));
+  EXPECT_EQ(st.delay_released, c.fold_u(Cnt::kDelayReleased));
+  EXPECT_EQ(st.delay_expired, c.fold_u(Cnt::kDelayExpired));
+  EXPECT_GT(ss.preemptions, 0u);
+  EXPECT_GT(st.sa_sent, 0u);
+}
+
+TEST(ObsCounters, GuestStatsReadTheKernelsOneSet) {
+  const auto world = irs_world();
+  guest::GuestKernel& k = world->kernel(0);
+  const Counters& c = k.counters();
+  const guest::GuestStats gs = k.stats();
+  EXPECT_EQ(gs.guest_ctx_switches, c.fold_u(Cnt::kGuestCtxSwitches));
+  EXPECT_EQ(gs.irs_migrations, c.fold_u(Cnt::kGuestIrsMigrations));
+  EXPECT_EQ(gs.sa_received, c.fold_u(Cnt::kGuestSaReceived));
+  EXPECT_EQ(gs.sa_replied_block + gs.sa_replied_yield,
+            c.fold_u(Cnt::kGuestSaRepliedBlock) +
+                c.fold_u(Cnt::kGuestSaRepliedYield));
+  EXPECT_GT(gs.guest_ctx_switches, 0u);
+  // Every SA the hypervisor delivered to this guest reached its receiver.
+  EXPECT_EQ(gs.sa_received, world->host().strategy_stats().sa_sent);
+}
+
+TEST(ObsCounters, WorkloadProgressIsItsWorkCounter) {
+  const auto world = irs_world();
+  const wl::Workload& w = world->workload(0);
+  EXPECT_GT(w.work().fold(Cnt::kWorkUnits), 0);
+  EXPECT_EQ(w.progress(), static_cast<double>(w.work().fold(Cnt::kWorkUnits)));
+}
+
+// ---------------------------------------------------------------------------
+// Producers writing into one ring
+// ---------------------------------------------------------------------------
+
+TEST(TraceRing, TwoProducersSnapshotInRecordOrder) {
+  // An hv-like and a guest-like producer interleave into one ring; the
+  // snapshot reads back exactly the order the records were made.
+  sim::Trace t(256);
+  for (int i = 0; i < 20; ++i) {
+    if (i % 2 == 0) {
+      t.record(i, sim::TraceKind::kHvSchedule, i, -1);
+    } else {
+      t.record(i, sim::TraceKind::kGuestSwitch, i, -1);
+    }
+  }
+  const auto snap = t.snapshot();
+  ASSERT_EQ(snap.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    const auto& r = snap[static_cast<std::size_t>(i)];
+    EXPECT_EQ(r.when, i);
+    EXPECT_EQ(r.a, i);
+    EXPECT_EQ(r.seq, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(r.kind, i % 2 == 0 ? sim::TraceKind::kHvSchedule
+                                 : sim::TraceKind::kGuestSwitch);
+  }
+}
+
+TEST(TraceRing, SameTimestampKeepsRecordOrder) {
+  sim::Trace t(64);
+  for (int i = 1; i <= 4; ++i) t.record(7, sim::TraceKind::kUser, i, -1);
+  const auto snap = t.snapshot();
+  ASSERT_EQ(snap.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(snap[static_cast<std::size_t>(i)].a, i + 1);
+  }
+}
+
+TEST(TraceRing, WrappedRingRetainsExactlyTheNewestSeqs) {
+  // Retention is a seq suffix: [total - capacity, total), whatever the
+  // capacity and however far past it the producers ran.
+  for (const std::size_t capacity : {1u, 3u, 64u}) {
+    for (const int total : {0, 2, 64, 65, 1000}) {
+      sim::Trace t(capacity);
+      for (int i = 0; i < total; ++i) {
+        t.record(i / 3, i % 2 == 0 ? sim::TraceKind::kHvWake
+                                   : sim::TraceKind::kGuestWake,
+                 i, -1);
+      }
+      const auto snap = t.snapshot();
+      const std::uint64_t n = static_cast<std::uint64_t>(total);
+      const std::uint64_t kept = std::min<std::uint64_t>(n, capacity);
+      ASSERT_EQ(snap.size(), kept) << capacity << "/" << total;
+      EXPECT_EQ(t.dropped(), n - kept);
+      for (std::uint64_t j = 0; j < kept; ++j) {
+        EXPECT_EQ(snap[j].seq, n - kept + j) << capacity << "/" << total;
+      }
+    }
+  }
+}
+
+TEST(TraceRing, DisabledRingRecordsNothing) {
+  sim::Trace disabled;  // capacity 0
+  EXPECT_FALSE(disabled.enabled());
+  disabled.record(0, sim::TraceKind::kUser, 0, 0);
+  EXPECT_EQ(disabled.total_recorded(), 0u);
+  EXPECT_TRUE(disabled.snapshot().empty());
+  EXPECT_EQ(disabled.count(sim::TraceKind::kUser), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,107 +275,6 @@ TEST(TraceNote, TruncatesLongNotes) {
   EXPECT_TRUE(empty.empty());
   const sim::TraceNote null_note(nullptr);
   EXPECT_TRUE(null_note.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Batched staging buffers
-// ---------------------------------------------------------------------------
-
-TEST(ObsTraceBuffer, StagesUntilBatchThenFlushes) {
-  sim::Trace t(64);
-  TraceBuffer buf(&t, /*batch=*/4);
-  for (int i = 0; i < 3; ++i) {
-    buf.record(i, sim::TraceKind::kUser, i, -1);
-  }
-  EXPECT_EQ(buf.staged(), 3u);
-  EXPECT_EQ(t.total_recorded(), 0u);  // nothing in the ring yet
-  buf.record(3, sim::TraceKind::kUser, 3, -1);  // hits the batch size
-  EXPECT_EQ(buf.staged(), 0u);
-  EXPECT_EQ(t.total_recorded(), 4u);
-}
-
-TEST(ObsTraceBuffer, SnapshotFlushesViaHook) {
-  sim::Trace t(64);
-  TraceBuffer buf(&t, /*batch=*/100);
-  buf.record(5, sim::TraceKind::kUser, 1, -1);
-  EXPECT_EQ(buf.staged(), 1u);
-  const auto snap = t.snapshot();  // must observe staged records
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].when, 5);
-  EXPECT_EQ(buf.staged(), 0u);
-}
-
-TEST(ObsTraceBuffer, DestructorFlushes) {
-  sim::Trace t(64);
-  {
-    TraceBuffer buf(&t, /*batch=*/100);
-    buf.record(1, sim::TraceKind::kUser, 1, -1);
-  }
-  EXPECT_EQ(t.snapshot().size(), 1u);
-}
-
-TEST(ObsTraceBuffer, TwoModulesInterleaveInRecordOrder) {
-  // Two buffers with different batch sizes flush blocks into the ring at
-  // different times; the snapshot must still read in (when, seq) order —
-  // i.e. exactly the order the records were produced.
-  sim::Trace t(256);
-  TraceBuffer hv_buf(&t, /*batch=*/3);
-  TraceBuffer guest_buf(&t, /*batch=*/7);
-  for (int i = 0; i < 20; ++i) {
-    if (i % 2 == 0) {
-      hv_buf.record(i, sim::TraceKind::kHvSchedule, i, -1);
-    } else {
-      guest_buf.record(i, sim::TraceKind::kGuestSwitch, i, -1);
-    }
-  }
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 20u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(snap[static_cast<std::size_t>(i)].when, i);
-    EXPECT_EQ(snap[static_cast<std::size_t>(i)].a, i);
-    EXPECT_EQ(snap[static_cast<std::size_t>(i)].kind,
-              i % 2 == 0 ? sim::TraceKind::kHvSchedule
-                         : sim::TraceKind::kGuestSwitch);
-  }
-}
-
-TEST(ObsTraceBuffer, SameTimestampKeepsProductionOrder) {
-  sim::Trace t(64);
-  TraceBuffer a(&t, /*batch=*/10);
-  TraceBuffer b(&t, /*batch=*/2);
-  a.record(7, sim::TraceKind::kUser, 1, -1);
-  b.record(7, sim::TraceKind::kUser, 2, -1);
-  a.record(7, sim::TraceKind::kUser, 3, -1);
-  b.record(7, sim::TraceKind::kUser, 4, -1);  // b flushes first (batch 2)
-  const auto snap = t.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(snap[static_cast<std::size_t>(i)].a, i + 1);
-  }
-}
-
-TEST(ObsTraceBuffer, NullAndDisabledTracesAreNoOps) {
-  TraceBuffer null_buf(nullptr);
-  EXPECT_FALSE(null_buf.enabled());
-  null_buf.record(0, sim::TraceKind::kUser, 0, 0);  // no crash
-  EXPECT_EQ(null_buf.staged(), 0u);
-
-  sim::Trace disabled;  // capacity 0
-  TraceBuffer buf(&disabled);
-  EXPECT_FALSE(buf.enabled());
-  buf.record(0, sim::TraceKind::kUser, 0, 0);
-  EXPECT_EQ(buf.staged(), 0u);
-}
-
-TEST(ObsTraceBuffer, SetBatchFlushesFirst) {
-  sim::Trace t(64);
-  TraceBuffer buf(&t, /*batch=*/100);
-  buf.record(1, sim::TraceKind::kUser, 0, 0);
-  buf.set_batch(1);
-  EXPECT_EQ(buf.staged(), 0u);
-  EXPECT_EQ(t.total_recorded(), 1u);
-  buf.record(2, sim::TraceKind::kUser, 0, 0);  // batch 1 = flush-through
-  EXPECT_EQ(t.total_recorded(), 2u);
 }
 
 // ---------------------------------------------------------------------------
