@@ -34,6 +34,12 @@ scripts/shard_roundtrip.sh
 ./build/tools/irs_trace_dump --fg specjbb --strategy Xen \
     --forensics --csv > /dev/null
 
+# Wrapped-ring forensics smoke: the same replay over a ring of 4096 records
+# that wraps many times, so the in-place read across the ring's two halves
+# and the truncation head run end to end.
+./build/tools/irs_trace_dump --fg specjbb --forensics --slo --counters \
+    --capacity 4096 --csv > /dev/null
+
 # Open-loop front-end smoke: a short fig08_open arm (frontend workload
 # under a hog, tail-drop policy) through the trace dump's conservation
 # ledger table — the arrival pipeline, overload accounting, and the

@@ -97,12 +97,11 @@ void fold_nodes(const std::vector<core::HostNode*>& nodes, RunResult* r) {
           : 0;
 }
 
-/// Fill a TraceDump from one host node: the ring snapshot, the vCPU and
-/// task tables, the run window and the sampler series.
-void fill_node_dump(core::HostNode& node, std::string title, int n_pcpus,
-                    TraceDump* dump) {
-  sim::Trace& trace = node.host().trace();
-  dump->records = trace.snapshot();
+/// The exporters' and the analyzer's view of one host node: the vCPU and
+/// task tables, the run window and the ring's accounting.
+obs::TraceMeta node_meta(core::HostNode& node, std::string title,
+                         int n_pcpus) {
+  const sim::Trace& trace = node.host().trace();
   obs::TraceMeta meta;
   meta.title = std::move(title);
   meta.n_pcpus = n_pcpus;
@@ -122,7 +121,15 @@ void fill_node_dump(core::HostNode& node, std::string title, int n_pcpus,
   meta.end = node.engine().now();
   meta.dropped = trace.dropped();
   meta.total_recorded = trace.total_recorded();
-  dump->meta = std::move(meta);
+  return meta;
+}
+
+/// Fill a TraceDump from one host node: the ring snapshot, the node's meta
+/// and the sampler series.
+void fill_node_dump(core::HostNode& node, std::string title, int n_pcpus,
+                    TraceDump* dump) {
+  dump->records = node.host().trace().snapshot();
+  dump->meta = node_meta(node, std::move(title), n_pcpus);
   if (obs::Sampler* smp = node.sampler()) dump->series = smp->dump();
 }
 
@@ -197,29 +204,32 @@ RunResult run_single(const ScenarioConfig& cfg, const RunCapture& capture) {
   r.irs_migrations = world.kernel(fg).stats().irs_migrations;
   fold_nodes({&world.node()}, &r);
 
-  if (dump != nullptr || (cfg.forensics && cfg.forensics_analyze)) {
+  static const std::vector<obs::ReqSpan> kNoSpans;
+  const std::vector<obs::ReqSpan>& spans =
+      cfg.forensics && server != nullptr ? server->request_spans() : kNoSpans;
+  if (cfg.forensics && cfg.forensics_analyze) {
+    // Replay the ring where it sits, the span log merged in during the pass.
+    r.forensics = obs::request_forensics(
+        world.host().trace(), spans,
+        node_meta(world.node(), std::string(), cfg.n_pcpus), r.slo);
+    r.forensics_digest = r.forensics.digest();
+  }
+  if (dump != nullptr) {
     TraceDump d;
     fill_node_dump(world.node(),
                    cfg.fg + (cfg.bg.empty() ? "" : "+" + cfg.bg) + " [" +
                        core::strategy_name(cfg.strategy) + "]",
                    cfg.n_pcpus, &d);
     // Request spans were captured in the workload's side log, not the ring;
-    // synthesize their kReqBegin/kReqEnd records into the snapshot so the
-    // analyzer and the exporters see one interleaved stream.
-    if (cfg.forensics && server != nullptr &&
-        !server->request_spans().empty()) {
-      d.records = obs::with_request_spans(d.records, server->request_spans(),
-                                          d.meta.total_recorded);
+    // render their kReqBegin/kReqEnd records into the snapshot so the
+    // exporters see one interleaved stream.
+    if (!spans.empty()) {
+      d.records =
+          obs::with_request_spans(d.records, spans, d.meta.total_recorded);
     }
-    if (cfg.forensics && cfg.forensics_analyze) {
-      r.forensics = obs::request_forensics(d.records, d.meta, r.slo);
-      r.forensics_digest = r.forensics.digest();
-    }
-    if (dump != nullptr) {
-      d.slo = r.slo;
-      d.forensics = r.forensics;
-      *dump = std::move(d);
-    }
+    d.slo = r.slo;
+    d.forensics = r.forensics;
+    *dump = std::move(d);
   }
   return r;
 }

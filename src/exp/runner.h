@@ -111,15 +111,15 @@ struct ScenarioConfig : obs::TelemetryConfig {
   /// (the bench overhead gate's "raw counters only" arm). Tracking is
   /// passive — every other result field is bit-identical either way.
   sim::Duration slo_window = 0;
-  /// Per-request causal forensics for server workloads (jbb/ab): captures
-  /// a ReqSpan per transaction into a side log (the runner synthesizes
-  /// kReqBegin/kReqEnd records from it at analysis time) and decomposes
-  /// each request's latency by cause (see obs/forensics.h). Enables the
+  /// Per-request causal forensics for server workloads (jbb/ab/frontend):
+  /// captures a ReqSpan per transaction into a side log (merged into the
+  /// replay of the trace ring at the end of the run) and decomposes each
+  /// request's latency by cause (see obs/forensics.h). Enables the
   /// trace ring if trace_capacity is 0 (at a generous default). Passive:
   /// only the trace-telemetry and forensics fields of the result change.
   bool forensics = false;
   /// With forensics on, run the decomposition at the end of the run
-  /// (ring snapshot + one-pass analyzer). false records the request
+  /// (one-pass analyzer over the ring in place). false records the request
   /// brackets but leaves RunResult::forensics empty — how bench_report
   /// times the always-on recording cost separately from the explicit
   /// analysis pass.
@@ -220,8 +220,9 @@ struct RunResult {
   }
 };
 
-/// A run's trace, captured for export: the snapshot (time-ordered, flushed)
-/// plus the topology/bookkeeping metadata the exporters need.
+/// A run's trace, captured for export: the snapshot (time-ordered, with
+/// the request brackets rendered in when forensics is on) plus the
+/// topology/bookkeeping metadata the exporters need.
 struct TraceDump {
   std::vector<sim::TraceRecord> records;
   obs::TraceMeta meta;

@@ -4,8 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "src/obs/ledger.h"
@@ -147,6 +146,14 @@ struct TaskState {
   sim::Duration mig_debt = 0;
 };
 
+/// One class's violating windows (ascending index) and, beside each, the
+/// position of its row in ForensicsClassResult::windows (-1 until the first
+/// request completes in it).
+struct ViolatingWindows {
+  std::vector<std::int64_t> index;
+  std::vector<std::int32_t> row;
+};
+
 struct Analyzer {
   const SloResult& slo;
   sim::Duration window = 0;
@@ -165,7 +172,7 @@ struct Analyzer {
   std::vector<std::int32_t> lane{};        // fg gcpu -> on-lane task, -1 idle
   std::vector<TaskState> tasks{};          // task id -> state
   ForensicsResult out{};
-  std::vector<std::set<std::int64_t>> violating{};  // per class: window idxs
+  std::vector<ViolatingWindows> violating{};  // per class
 
   [[nodiscard]] bool fg_vcpu(int v) const {
     return v >= 0 && v < static_cast<int>(is_fg.size()) && is_fg[v] != 0;
@@ -186,14 +193,35 @@ struct Analyzer {
         c.name = "class" + std::to_string(i);
       }
       out.classes.push_back(std::move(c));
-      std::set<std::int64_t> viol;
+      ViolatingWindows viol;
       if (i < slo.classes.size()) {
         for (const SloWindow& w : slo.classes[i].windows) {
-          if (burn_rate(w, slo.classes[i].spec) > 1.0) viol.insert(w.index);
+          if (burn_rate(w, slo.classes[i].spec) > 1.0) {
+            viol.index.push_back(w.index);
+          }
         }
+        std::sort(viol.index.begin(), viol.index.end());
+        viol.row.assign(viol.index.size(), -1);
       }
       violating.push_back(std::move(viol));
     }
+  }
+
+  /// The root-cause row of class `cls`'s window holding `when`, created on
+  /// its first request; null when that window did not violate its SLO.
+  ForensicsWindow* violating_row(int cls, sim::Time when) {
+    const std::int64_t idx = window > 0 ? when / window : 0;
+    ViolatingWindows& v = violating[static_cast<std::size_t>(cls)];
+    const auto it = std::lower_bound(v.index.begin(), v.index.end(), idx);
+    if (it == v.index.end() || *it != idx) return nullptr;
+    std::int32_t& row = v.row[static_cast<std::size_t>(it - v.index.begin())];
+    std::vector<ForensicsWindow>& rows =
+        out.classes[static_cast<std::size_t>(cls)].windows;
+    if (row < 0) {
+      row = static_cast<std::int32_t>(rows.size());
+      rows.push_back(ForensicsWindow{.index = idx});
+    }
+    return &rows[static_cast<std::size_t>(row)];
   }
 
   void lhp_inc(sim::Time t) {
@@ -374,52 +402,51 @@ struct Analyzer {
     }
   }
 
-  void on_req_begin(const sim::TraceRecord& r) {
-    // a = req id, b = SLO class, c = task
-    if (r.c < 0) return;
-    TaskState& ts = task(r.c);
+  /// A request span opens at `when` (its service start) on `task`, after
+  /// `qwait` ns in the accept queue.
+  void on_req_begin(sim::Time when, std::int32_t cls, std::int32_t task_id,
+                    sim::Duration qwait) {
+    if (task_id < 0) return;
+    TaskState& ts = task(task_id);
     // Boundary first (with req_active still false / previous span closed),
     // so nothing before the begin instant is ever charged to this span.
     if (ts.phase == kPhOn) {
-      close_on(ts, r.when);
-      snapshot(ts, r.when);
+      close_on(ts, when);
+      snapshot(ts, when);
     } else if (ts.phase == kPhPending || ts.phase == kPhWaiting) {
-      close_off_sub(ts, r.when);
-      snapshot(ts, r.when);
+      close_off_sub(ts, when);
+      snapshot(ts, when);
     }
     ts.req_active = true;
-    ts.req_cls = r.b >= 0 ? r.b : 0;
+    ts.req_cls = cls >= 0 ? cls : 0;
     for (int c = 0; c < kNumCauses; ++c) ts.causes[c] = 0;
-    // The bracket sits at the service start; the note carries the
-    // accept-queue wait (ns) the request spent before any task touched it.
-    // Back-date the span and pre-charge the wait so the end-to-end total
-    // still covers arrival -> completion, exactly.
-    const sim::Duration qwait = std::atoll(r.note.c_str());
-    ts.req_begin = r.when - qwait;
+    // Back-date the span by the accept-queue wait and pre-charge it, so the
+    // end-to-end total still covers arrival -> completion, exactly.
+    ts.req_begin = when - qwait;
     ts.causes[static_cast<int>(Cause::kQueueWait)] = qwait;
   }
 
-  void on_req_end(const sim::TraceRecord& r) {
-    const int cls = r.b >= 0 ? r.b : 0;
+  void on_req_end(sim::Time when, std::int32_t cls_id, std::int32_t task_id) {
+    const int cls = cls_id >= 0 ? cls_id : 0;
     ensure_class(cls);
     ForensicsClassResult& cr = out.classes[static_cast<std::size_t>(cls)];
-    if (r.c < 0) {  // no task to attribute to: report, never charge
+    if (task_id < 0) {  // no task to attribute to: report, never charge
       ++cr.truncated;
       return;
     }
-    TaskState& ts = task(r.c);
+    TaskState& ts = task(task_id);
     if (!ts.req_active) {
-      // No kReqBegin was seen for this span: report, never charge.
+      // No begin was seen for this span: report, never charge.
       ++cr.truncated;
       return;
     }
     if (ts.phase == kPhOn) {
-      close_on(ts, r.when);
-      snapshot(ts, r.when);
+      close_on(ts, when);
+      snapshot(ts, when);
     } else if (ts.phase == kPhPending || ts.phase == kPhWaiting) {
-      close_off_sub(ts, r.when);
+      close_off_sub(ts, when);
       resolve_chain(ts, /*blocked=*/false);
-      snapshot(ts, r.when);
+      snapshot(ts, when);
     }
     if (out.head_truncated_at >= 0 && ts.req_begin < out.head_truncated_at) {
       // The span began before the retained ring head: the scheduler
@@ -429,7 +456,7 @@ struct Analyzer {
       ts.req_active = false;
       return;
     }
-    const sim::Duration total = r.when - ts.req_begin;
+    const sim::Duration total = when - ts.req_begin;
     sim::Duration charged = 0;
     for (int c = 0; c < kNumCauses; ++c) charged += ts.causes[c];
     // Cold starts (span opened before the replay knew the task's state)
@@ -439,23 +466,11 @@ struct Analyzer {
     }
     for (int c = 0; c < kNumCauses; ++c) cr.causes[c].add(ts.causes[c]);
     ++cr.spans;
-    const std::int64_t idx = window > 0 ? r.when / window : 0;
-    if (violating[static_cast<std::size_t>(cls)].count(idx) != 0) {
-      auto wit = std::find_if(
-          cr.windows.begin(), cr.windows.end(),
-          [idx](const ForensicsWindow& w) { return w.index == idx; });
-      if (wit == cr.windows.end()) {
-        ForensicsWindow w;
-        w.index = idx;
-        cr.windows.push_back(w);
-        wit = cr.windows.end() - 1;
-      }
-      ++wit->requests;
+    if (ForensicsWindow* w = violating_row(cls, when)) {
+      ++w->requests;
       if (total > cr.spec.threshold) {
-        ++wit->violations;
-        for (int c = 0; c < kNumCauses; ++c) {
-          wit->causes[c] += ts.causes[c];
-        }
+        ++w->violations;
+        for (int c = 0; c < kNumCauses; ++c) w->causes[c] += ts.causes[c];
       }
     }
     ts.req_active = false;
@@ -524,53 +539,151 @@ struct Analyzer {
         break;
     }
   }
+
+  // --- stream sink (see merge_brackets) ----------------------------------
+
+  void record(const sim::TraceRecord& r) {
+    switch (r.kind) {
+      case sim::TraceKind::kGuestSwitch:
+        if (fg_vcpu(r.a)) on_guest_switch(r);
+        break;
+      case sim::TraceKind::kGuestWake:
+        if (fg_vcpu(r.b)) on_guest_wake(r);
+        break;
+      case sim::TraceKind::kMigrate:
+        if (fg_vcpu(r.b)) on_migrate(r);
+        break;
+      case sim::TraceKind::kReqBegin:
+        // A rendered bracket (with_request_spans) carries the accept-queue
+        // wait as a decimal-ns note.
+        on_req_begin(r.when, r.b, r.c, std::atoll(r.note.c_str()));
+        break;
+      case sim::TraceKind::kReqEnd:
+        on_req_end(r.when, r.b, r.c);
+        break;
+      case sim::TraceKind::kHvSchedule:
+      case sim::TraceKind::kHvPreempt:
+      case sim::TraceKind::kHvBlock:
+      case sim::TraceKind::kHvWake:
+      case sim::TraceKind::kSaSend:
+      case sim::TraceKind::kSaAck:
+      case sim::TraceKind::kLhp:
+      case sim::TraceKind::kLwp:
+        if (fg_vcpu(r.a)) on_hv(r);
+        break;
+      default:
+        break;
+    }
+  }
+  void begin(std::uint64_t /*seq*/, const ReqSpan& s) {
+    on_req_begin(s.begin + s.qwait, s.cls, s.task, s.qwait);
+  }
+  void end(std::uint64_t /*seq*/, const ReqSpan& s) {
+    on_req_end(s.end, s.cls, s.task);
+  }
 };
 
-}  // namespace
+/// Renders the merged stream as one vector, brackets as kReqBegin/kReqEnd
+/// records.
+struct Render {
+  std::vector<sim::TraceRecord>& out;
 
-std::vector<sim::TraceRecord> with_request_spans(
-    const std::vector<sim::TraceRecord>& records,
-    const std::vector<ReqSpan>& spans, std::uint64_t base_seq) {
-  std::vector<sim::TraceRecord> synth;
-  synth.reserve(spans.size() * 2);
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const ReqSpan& s = spans[i];
-    // The begin bracket sits at the service start; a nonzero accept-queue
-    // wait rides in the note (decimal ns) and the analyzer back-dates the
-    // span by it (see header).
-    sim::TraceRecord begin{s.begin + s.qwait, base_seq + 2 * i,
-                           sim::TraceKind::kReqBegin, s.req, s.cls, s.task,
-                           ""};
+  void record(const sim::TraceRecord& r) { out.push_back(r); }
+  void begin(std::uint64_t seq, const ReqSpan& s) {
+    sim::TraceRecord rec{s.begin + s.qwait, seq, sim::TraceKind::kReqBegin,
+                         s.req, s.cls, s.task, ""};
     if (s.qwait > 0) {
       // A 15-char note holds any wait below ~11.5 simulated days;
       // TraceNote truncates (never overflows) beyond that.
       char buf[24];
-      std::snprintf(buf, sizeof buf, "%lld",
-                    static_cast<long long>(s.qwait));
-      begin.note = buf;
+      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(s.qwait));
+      rec.note = buf;
     }
-    synth.push_back(begin);
-    synth.push_back(sim::TraceRecord{s.end, base_seq + 2 * i + 1,
-                                     sim::TraceKind::kReqEnd, s.req, s.cls,
-                                     s.task, ""});
+    out.push_back(rec);
   }
-  const auto by_when_seq = [](const sim::TraceRecord& x,
-                              const sim::TraceRecord& y) {
-    return x.when != y.when ? x.when < y.when : x.seq < y.seq;
+  void end(std::uint64_t seq, const ReqSpan& s) {
+    out.push_back(sim::TraceRecord{s.end, seq, sim::TraceKind::kReqEnd, s.req,
+                                   s.cls, s.task, ""});
+  }
+};
+
+/// Sort key of one side of the request brackets. A bracket's seq is
+/// implied by its span's index in the log (begin = base + 2i, end =
+/// base + 2i + 1), so (when, idx) orders a side exactly as (when, seq).
+struct BracketKey {
+  sim::Time when;
+  std::uint64_t idx;
+
+  bool operator<(const BracketKey& o) const {
+    return when != o.when ? when < o.when : idx < o.idx;
+  }
+};
+static_assert(sizeof(BracketKey) == 16);
+
+/// The one event loop: walk the records of `ring` (already in (when, seq)
+/// order) and the begin/end brackets of `spans` as one (when, seq)-ordered
+/// stream without materialising it. The sink sees record(r) per record,
+/// begin(seq, span) at each span's service start (begin + qwait) and
+/// end(seq, span) at its completion. Bracket seqs start at `base_seq`; at
+/// an equal (when, seq) the record goes first, as std::merge would order
+/// it.
+template <class Sink>
+void merge_brackets(const sim::TraceView& ring, std::span<const ReqSpan> spans,
+                    std::uint64_t base_seq, Sink& sink) {
+  std::vector<BracketKey> begins(spans.size()), ends(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    begins[i] = BracketKey{spans[i].begin + spans[i].qwait, i};
+    ends[i] = BracketKey{spans[i].end, i};
+  }
+  // Ends arrive in completion order; begins do not (a long span began
+  // before the shorter ones that completed ahead of it).
+  for (std::vector<BracketKey>* side : {&begins, &ends}) {
+    if (!std::is_sorted(side->begin(), side->end())) {
+      std::sort(side->begin(), side->end());
+    }
+  }
+  std::size_t bi = 0, ei = 0;
+  bool have = false, is_begin = false;
+  sim::Time when = 0;
+  std::uint64_t seq = 0;
+  const auto next = [&] {
+    const bool hb = bi < begins.size(), he = ei < ends.size();
+    have = hb || he;
+    if (!have) return;
+    // At one instant begin seq base + 2ib precedes end seq base + 2ie + 1
+    // exactly when ib <= ie.
+    is_begin = hb && (!he || begins[bi].when < ends[ei].when ||
+                      (begins[bi].when == ends[ei].when &&
+                       begins[bi].idx <= ends[ei].idx));
+    const BracketKey& k = is_begin ? begins[bi] : ends[ei];
+    when = k.when;
+    seq = base_seq + 2 * k.idx + (is_begin ? 0 : 1);
   };
-  // Ends are already in completion order; begins (ab back-dates to the
-  // arrival instant) are not, so sort before the merge.
-  std::sort(synth.begin(), synth.end(), by_when_seq);
-  std::vector<sim::TraceRecord> merged;
-  merged.reserve(records.size() + synth.size());
-  std::merge(records.begin(), records.end(), synth.begin(), synth.end(),
-             std::back_inserter(merged), by_when_seq);
-  return merged;
+  const auto emit = [&] {
+    if (is_begin) {
+      sink.begin(seq, spans[begins[bi++].idx]);
+    } else {
+      sink.end(seq, spans[ends[ei++].idx]);
+    }
+    next();
+  };
+  next();
+  for (const std::span<const sim::TraceRecord> part :
+       {ring.older, ring.newer}) {
+    for (const sim::TraceRecord& r : part) {
+      while (have && (when < r.when || (when == r.when && seq < r.seq))) {
+        emit();
+      }
+      sink.record(r);
+    }
+  }
+  while (have) emit();
 }
 
-ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
-                                  const TraceMeta& meta, const SloResult& slo,
-                                  const std::string& vm) {
+ForensicsResult analyze(const sim::TraceView& ring,
+                        std::span<const ReqSpan> spans, std::uint64_t base_seq,
+                        const TraceMeta& meta, const SloResult& slo,
+                        const std::string& vm) {
   Analyzer az{slo, slo.window > 0 ? slo.window : SloTracker::kDefaultWindow};
   az.out.window = az.window;
   int max_vcpu = -1;
@@ -589,14 +702,18 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
     // The retained-ring head: the ring keeps exactly the newest seqs, and
     // seqs and timestamps are co-monotonic (both drawn at record time), so
     // scheduler evidence is complete from the first retained record on.
-    // Synthesized request brackets never drop, so they are skipped.
-    for (const sim::TraceRecord& r : records) {
-      if (r.kind == sim::TraceKind::kReqBegin ||
-          r.kind == sim::TraceKind::kReqEnd) {
-        continue;
+    // Request brackets never drop, so rendered ones are skipped.
+    const auto is_bracket = [](const sim::TraceRecord& r) {
+      return r.kind == sim::TraceKind::kReqBegin ||
+             r.kind == sim::TraceKind::kReqEnd;
+    };
+    for (const std::span<const sim::TraceRecord> part :
+         {ring.older, ring.newer}) {
+      const auto it = std::find_if_not(part.begin(), part.end(), is_bracket);
+      if (it != part.end()) {
+        az.out.head_truncated_at = it->when;
+        break;
       }
-      az.out.head_truncated_at = r.when;
-      break;
     }
   }
   // Classes (and their violating-window sets) exist up front so an
@@ -605,37 +722,7 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
     az.ensure_class(static_cast<int>(i));
   }
 
-  for (const sim::TraceRecord& r : records) {
-    switch (r.kind) {
-      case sim::TraceKind::kGuestSwitch:
-        if (az.fg_vcpu(r.a)) az.on_guest_switch(r);
-        break;
-      case sim::TraceKind::kGuestWake:
-        if (az.fg_vcpu(r.b)) az.on_guest_wake(r);
-        break;
-      case sim::TraceKind::kMigrate:
-        if (az.fg_vcpu(r.b)) az.on_migrate(r);
-        break;
-      case sim::TraceKind::kReqBegin:
-        az.on_req_begin(r);
-        break;
-      case sim::TraceKind::kReqEnd:
-        az.on_req_end(r);
-        break;
-      case sim::TraceKind::kHvSchedule:
-      case sim::TraceKind::kHvPreempt:
-      case sim::TraceKind::kHvBlock:
-      case sim::TraceKind::kHvWake:
-      case sim::TraceKind::kSaSend:
-      case sim::TraceKind::kSaAck:
-      case sim::TraceKind::kLhp:
-      case sim::TraceKind::kLwp:
-        if (az.fg_vcpu(r.a)) az.on_hv(r);
-        break;
-      default:
-        break;
-    }
-  }
+  merge_brackets(ring, spans, base_seq, az);
 
   // Spans still open when the trace ends are reported, never charged.
   for (TaskState& ts : az.tasks) {
@@ -651,6 +738,31 @@ ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
               });
   }
   return az.out;
+}
+
+}  // namespace
+
+std::vector<sim::TraceRecord> with_request_spans(
+    const std::vector<sim::TraceRecord>& records,
+    const std::vector<ReqSpan>& spans, std::uint64_t base_seq) {
+  std::vector<sim::TraceRecord> merged;
+  merged.reserve(records.size() + 2 * spans.size());
+  Render sink{merged};
+  merge_brackets(sim::TraceView{records, {}}, spans, base_seq, sink);
+  return merged;
+}
+
+ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
+                                  const TraceMeta& meta, const SloResult& slo,
+                                  const std::string& vm) {
+  return analyze(sim::TraceView{records, {}}, {}, 0, meta, slo, vm);
+}
+
+ForensicsResult request_forensics(const sim::Trace& trace,
+                                  const std::vector<ReqSpan>& spans,
+                                  const TraceMeta& meta, const SloResult& slo,
+                                  const std::string& vm) {
+  return analyze(trace.view(), spans, trace.total_recorded(), meta, slo, vm);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 // Per-request causal forensics: latency decomposition and SLO-violation
 // root-cause attribution.
 //
-// PR 7's SloTracker says *that* a window violated its SLO and obs::attribute
-// says *who* absorbed steal time run-wide — this module says *why a specific
-// request was slow*. Serving workloads (wl::server jbb/ab) log a ReqSpan
-// per transaction into a side log (one cheap append — nothing rides the
-// trace ring at runtime); with_request_spans() renders the log as
-// kReqBegin/kReqEnd records (request id + SLO class in a/b, serving task
-// in c) merged into the trace snapshot, and request_forensics() walks that
-// merged stream once — the same snapshot obs::attribute consumes — replays
-// the scheduler state around each request span, and splits its end-to-end
-// latency into named causal segments:
+// SloTracker says *that* a window violated its SLO and obs::attribute says
+// *who* absorbed steal time run-wide — this module says *why a specific
+// request was slow*. Serving workloads (wl::server jbb/ab/frontend) log a
+// ReqSpan per transaction into a side log (one cheap append — nothing rides
+// the trace ring at runtime). At the end of a run request_forensics() reads
+// the trace ring where it sits (seq order is already (when, seq) order, so
+// nothing is copied or sorted) and merges the span log in as begin/end
+// brackets during that same one pass; it replays the scheduler state
+// around each request span and splits its end-to-end latency into named
+// causal segments:
 //
 //   run        on-CPU compute (vCPU held a pCPU, no SA grace pending)
 //   ready_wait runnable in the guest runqueue, vCPU present but busy
@@ -128,9 +128,10 @@ struct ForensicsResult {
 /// One completed request span, captured by the serving workloads into a
 /// plain side log instead of the trace ring: recording costs one small
 /// fixed-size append per request (no per-request ring traffic or seq
-/// allocation — the bench_report recording gate rides on this), and the
-/// analysis/export path re-synthesizes the kReqBegin/kReqEnd records from
-/// the log with with_request_spans().
+/// allocation — the bench_report recording gate rides on this). The
+/// analyzer merges the log into its replay directly; dumps and exporters
+/// render it as kReqBegin/kReqEnd records with with_request_spans(). The
+/// log is in completion order (`end` never decreases).
 struct ReqSpan {
   sim::Time begin = 0;       // service start (jbb) / arrival (ab, frontend)
   sim::Time end = 0;         // completion — the SLO-recording instant
@@ -145,12 +146,13 @@ struct ReqSpan {
 };
 
 /// Render `spans` as kReqBegin/kReqEnd records and merge them into a
-/// (when, seq)-sorted trace snapshot, preserving the sort. Synthesized
+/// (when, seq)-sorted trace snapshot, preserving the sort — for trace dumps
+/// and exporters; the analyzer merges the same brackets in place. Rendered
 /// records take sequence numbers from `base_seq` (pass the ring's
 /// total_recorded — one past the largest real seq) so that at equal
 /// timestamps they order deterministically after every ring record, the
 /// same place a bracket recorded at that instant would have sorted.
-/// A span with qwait > 0 synthesizes its kReqBegin at the *service start*
+/// A span with qwait > 0 renders its kReqBegin at the *service start*
 /// (begin + qwait) carrying the wait as a decimal-ns note — the same idiom
 /// kMigrate uses for its penalty — so the replay never mischarges worker
 /// activity that happened while the request sat in the accept queue.
@@ -158,15 +160,24 @@ std::vector<sim::TraceRecord> with_request_spans(
     const std::vector<sim::TraceRecord>& records,
     const std::vector<ReqSpan>& spans, std::uint64_t base_seq);
 
-/// Walk `records` (snapshot order: sorted by (when, seq)) once and decompose
-/// every request span of the VM named `vm`. `meta` supplies the vCPU→VM
-/// mapping and the dropped count; `slo` supplies class names/specs, the
-/// window length, and which windows violated (burn rate > 1) — pass an
-/// empty SloResult to decompose without violation tables.
-/// Request spans ride in as the synthesized bracket records of
-/// with_request_spans(); spans that began before the retained ring head
-/// (head_truncated_at) have partial scheduler evidence and are reported as
-/// `truncated`, never charged.
+/// Replay `trace`'s retained records in place, with the brackets of
+/// `spans` merged in during the pass, and decompose every request span of
+/// the VM named `vm`. `meta` supplies the vCPU→VM mapping and the dropped
+/// count; `slo` supplies class names/specs, the window length, and which
+/// windows violated (burn rate > 1) — pass an empty SloResult to decompose
+/// without violation tables. Spans that began before the retained ring
+/// head (head_truncated_at) have partial scheduler evidence and are
+/// reported as `truncated`, never charged. Equal, field for field, to the
+/// vector overload over with_request_spans(trace.snapshot(), spans,
+/// trace.total_recorded()).
+ForensicsResult request_forensics(const sim::Trace& trace,
+                                  const std::vector<ReqSpan>& spans,
+                                  const TraceMeta& meta, const SloResult& slo,
+                                  const std::string& vm = "fg");
+
+/// The same replay over a materialized stream: `records` in snapshot order
+/// (sorted by (when, seq)), request spans riding in as the rendered
+/// bracket records of with_request_spans() — the offline path for dumps.
 ForensicsResult request_forensics(const std::vector<sim::TraceRecord>& records,
                                   const TraceMeta& meta, const SloResult& slo,
                                   const std::string& vm = "fg");

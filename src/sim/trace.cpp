@@ -1,6 +1,5 @@
 #include "src/sim/trace.h"
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -43,11 +42,8 @@ bool trace_kind_from_name(const char* name, TraceKind* out) {
 
 void Trace::set_capacity(std::size_t capacity) {
   capacity_ = capacity;
-  ring_.clear();
   ring_.reserve(capacity);
-  head_ = 0;
-  dropped_ = 0;
-  total_ = 0;
+  clear();
 }
 
 void Trace::push(const TraceRecord& rec) {
@@ -62,13 +58,17 @@ void Trace::push(const TraceRecord& rec) {
   ++dropped_;
 }
 
+TraceView Trace::view() const {
+  const std::span<const TraceRecord> all(ring_);
+  return TraceView{all.subspan(head_), all.first(head_)};
+}
+
 std::vector<TraceRecord> Trace::snapshot() const {
-  std::vector<TraceRecord> out = ring_;
-  std::sort(out.begin(), out.end(),
-            [](const TraceRecord& x, const TraceRecord& y) {
-              if (x.when != y.when) return x.when < y.when;
-              return x.seq < y.seq;
-            });
+  const TraceView v = view();
+  std::vector<TraceRecord> out;
+  out.reserve(v.size());
+  out.insert(out.end(), v.older.begin(), v.older.end());
+  out.insert(out.end(), v.newer.begin(), v.newer.end());
   return out;
 }
 

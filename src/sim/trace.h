@@ -3,12 +3,15 @@
 // enabling keeps the most recent `capacity` records in a ring buffer.
 //
 // Every producer (the hypervisor and each guest kernel) records straight
-// into the one ring, so the retained records are always exactly the newest
-// `capacity` sequence numbers.
+// into the one ring at the engine's current time, so the retained records
+// are always exactly the newest `capacity` sequence numbers, and seq order
+// is (when, seq) order: reading the ring from its oldest slot needs no sort.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,8 +36,8 @@ enum class TraceKind : std::uint8_t {
   kCoStop,        // relaxed-co stopped a leading vCPU
   kEngineStop,    // engine stopped dispatching (event budget exhausted)
   kReqBegin,      // request began (a=req id, b=SLO class, c=task;
-                  //   synthesized from the workload span log at analysis
-                  //   time — never recorded into the ring at runtime)
+                  //   rendered from the workload span log for dumps —
+                  //   never recorded into the ring at runtime)
   kReqEnd,        // request completed (same payload and provenance)
   kUser,          // free-form
 };
@@ -77,9 +80,10 @@ class TraceNote {
 
 struct TraceRecord {
   Time when = 0;
-  /// Global record-order sequence number, assigned when the record is
-  /// produced. Sim time never runs backwards, so seq and `when` are
-  /// co-monotonic; snapshots sort by (when, seq).
+  /// Record-order sequence number, assigned when the record is produced:
+  /// the count of records accepted before it. Producers record at the
+  /// engine's now and sim time never runs backwards, so seq and `when` are
+  /// co-monotonic and seq order is (when, seq) order.
   std::uint64_t seq = 0;
   TraceKind kind = TraceKind::kUser;
   std::int32_t a = -1;  // subsystem-defined (e.g. vCPU id)
@@ -88,11 +92,25 @@ struct TraceRecord {
   TraceNote note;
 };
 
+/// The retained records in seq order, read where they sit: the ring's
+/// older part (the oldest slot to the end of storage), then its newer part
+/// (the start of storage up to the oldest slot). Valid until the next
+/// record, set_capacity or clear.
+struct TraceView {
+  std::span<const TraceRecord> older;
+  std::span<const TraceRecord> newer;
+
+  [[nodiscard]] std::size_t size() const {
+    return older.size() + newer.size();
+  }
+};
+
 /// Fixed-capacity ring of trace records.
 ///
 /// Capacity overflow is not silent: `dropped()` counts overwritten records
 /// and `total_recorded()` counts every accepted record, so tests can detect
-/// a wrapped ring and the exporter annotates truncation.
+/// a wrapped ring and the exporter annotates truncation. The retained
+/// records always carry exactly seqs [total_recorded - size, total_recorded).
 class Trace {
  public:
   explicit Trace(std::size_t capacity = 0) { set_capacity(capacity); }
@@ -100,17 +118,26 @@ class Trace {
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
   void set_capacity(std::size_t capacity);
 
+  /// Record at `when`, which must be the engine's now: a record stamped
+  /// earlier than the newest retained one would break the (when, seq)
+  /// order every reader relies on, so Debug builds assert it.
   void record(Time when, TraceKind kind, std::int32_t a, std::int32_t b,
               const char* note = "", std::int32_t c = -1) {
     if (!enabled()) return;
-    push(TraceRecord{when, next_seq_++, kind, a, b, c, note});
+    assert((ring_.empty() || when >= newest().when) &&
+           "trace records must be stamped at the engine's now");
+    push(TraceRecord{when, total_, kind, a, b, c, note});
   }
 
   /// No-op: records reach the ring as they are made. Kept for the
   /// benchmark's per-layer ledger (perfbench/layers.cpp), its only caller.
   void flush_buffers() {}
 
-  /// Records in chronological order (oldest first).
+  /// The retained records in chronological order (oldest first), without
+  /// a copy. See TraceView.
+  [[nodiscard]] TraceView view() const;
+
+  /// Copy of view(): the ring rotated to its oldest seq.
   [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
   /// Count of records of a given kind currently retained.
@@ -122,19 +149,22 @@ class Trace {
   /// Records lost to ring wrap-around since the last set_capacity/clear.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Records accepted (retained + dropped) since the last
-  /// set_capacity/clear.
+  /// set_capacity/clear; also the seq the next record takes.
   [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
 
+  /// Drop every record and restart the accounting and the seqs at 0.
   void clear();
 
  private:
   void push(const TraceRecord& rec);
+  [[nodiscard]] const TraceRecord& newest() const {
+    return ring_[(head_ == 0 ? ring_.size() : head_) - 1];
+  }
 
   std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  // next write slot once the ring is full
-  std::uint64_t next_seq_ = 0;
+  std::size_t head_ = 0;  // next write slot (the oldest record) once full
   std::uint64_t dropped_ = 0;
-  std::uint64_t total_ = 0;
+  std::uint64_t total_ = 0;  // records accepted = the next record's seq
   std::vector<TraceRecord> ring_;
 };
 

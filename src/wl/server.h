@@ -35,8 +35,9 @@ struct RequestSink {
   /// Windowed SLO recorder (see obs/slo.h); null unless enable_slo().
   obs::SloTracker* slo = nullptr;
   /// Request-span side log (see obs::ReqSpan): the trace ring is untouched
-  /// at runtime; the runner synthesizes kReqBegin/kReqEnd records from it
-  /// for analysis and export. Null unless enable_request_spans().
+  /// at runtime; the analyzer merges it into its replay of the ring, and
+  /// dumps render it as kReqBegin/kReqEnd records. Null unless
+  /// enable_request_spans().
   std::vector<obs::ReqSpan>* spans = nullptr;
   std::int32_t next_req = 0;  // request ids, unique per workload
 

@@ -119,6 +119,35 @@ TEST(ForensicsEndToEnd, InstrumentationIsPassiveAndDeterministic) {
   }
 }
 
+// --- in-place replay vs the materialized stream ----------------------------
+
+TEST(ForensicsEndToEnd, StreamedReplayMatchesMaterializedReplay) {
+  // The run replays the ring where it sits and merges the span log in
+  // during the pass; the dump path renders the brackets into one sorted
+  // vector. On every server, with a roomy ring and with one that wraps,
+  // both must produce the same result field for field.
+  for (const char* fg : {"specjbb", "ab", "frontend"}) {
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{4096}}) {
+      SCOPED_TRACE(std::string(fg) + " capacity " + std::to_string(capacity));
+      exp::ScenarioConfig cfg = forensics_cfg(fg, core::Strategy::kIrs);
+      cfg.server_duration = sim::seconds(1);  // ~7k records: 4096 wraps
+      cfg.trace_capacity = capacity;
+      exp::TraceDump d;
+      const exp::RunResult r =
+          exp::run_scenario(cfg, exp::RunCapture{.dump = &d});
+      ASSERT_FALSE(r.forensics.empty());
+      if (capacity != 0) {
+        ASSERT_GT(r.trace_dropped, 0u) << "ring did not wrap; shrink it";
+        EXPECT_GE(r.forensics.head_truncated_at, 0);
+      }
+      const obs::ForensicsResult offline =
+          obs::request_forensics(d.records, d.meta, d.slo);
+      EXPECT_TRUE(offline == r.forensics);
+      EXPECT_EQ(offline.digest(), r.forensics_digest);
+    }
+  }
+}
+
 // --- determinism across engine backends and thread counts -----------------
 
 TEST(ForensicsEndToEnd, BitIdenticalAcrossQueueBackendsAndThreads) {

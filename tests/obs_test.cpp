@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/world.h"
+#include "src/obs/forensics.h"
 #include "src/obs/trace_query.h"
 #include "src/sim/trace.h"
 #include "src/wl/registry.h"
@@ -248,6 +251,67 @@ TEST(TraceRing, ClearResetsAccounting) {
   EXPECT_EQ(t.dropped(), 0u);
   EXPECT_EQ(t.total_recorded(), 0u);
   EXPECT_TRUE(t.snapshot().empty());
+}
+
+TEST(TraceRing, ClearRestartsSequenceNumbers) {
+  // After a clear (or a new capacity) the retained seqs are again
+  // [total - size, total), so brackets numbered from total_recorded() sort
+  // after every ring record at the same instant.
+  for (const bool resize : {false, true}) {
+    sim::Trace t(4);
+    for (int i = 0; i < 7; ++i) t.record(i, sim::TraceKind::kUser, i, -1);
+    if (resize) {
+      t.set_capacity(3);
+    } else {
+      t.clear();
+    }
+    for (int i = 0; i < 5; ++i) t.record(100, sim::TraceKind::kUser, i, -1);
+    const auto snap = t.snapshot();
+    const std::uint64_t cap = resize ? 3 : 4;
+    ASSERT_EQ(snap.size(), cap);
+    EXPECT_EQ(t.total_recorded(), 5u);
+    for (std::uint64_t j = 0; j < cap; ++j) {
+      EXPECT_EQ(snap[j].seq, 5 - cap + j) << "resize " << resize;
+    }
+    const std::vector<obs::ReqSpan> spans = {
+        obs::ReqSpan{.begin = 100, .end = 100, .req = 0, .task = 1}};
+    const auto merged =
+        obs::with_request_spans(snap, spans, t.total_recorded());
+    ASSERT_EQ(merged.size(), cap + 2);
+    EXPECT_EQ(merged[cap].kind, sim::TraceKind::kReqBegin);
+    EXPECT_EQ(merged[cap].seq, t.total_recorded());
+    EXPECT_EQ(merged[cap + 1].kind, sim::TraceKind::kReqEnd);
+  }
+}
+
+TEST(TraceRing, SnapshotIsTheRingRotatedToTheOldestSeq) {
+  // Wrap the ring so its oldest slot (the write head) sits at offset 0, 1
+  // and capacity - 1: the snapshot, and the in-place view, read the
+  // records back in seq order with no sort.
+  constexpr std::size_t kCap = 8;
+  for (const std::size_t head : {std::size_t{0}, std::size_t{1}, kCap - 1}) {
+    sim::Trace t(kCap);
+    const std::size_t total = 3 * kCap + head;
+    for (std::size_t i = 0; i < total; ++i) {
+      t.record(static_cast<sim::Time>(i / 2), sim::TraceKind::kUser,
+               static_cast<std::int32_t>(i), -1);
+    }
+    const auto snap = t.snapshot();
+    ASSERT_EQ(snap.size(), kCap) << "head " << head;
+    for (std::size_t j = 0; j < kCap; ++j) {
+      EXPECT_EQ(snap[j].seq, total - kCap + j) << "head " << head;
+      EXPECT_EQ(snap[j].a, static_cast<std::int32_t>(total - kCap + j));
+    }
+    const sim::TraceView v = t.view();
+    EXPECT_EQ(v.older.size(), kCap - head) << "head " << head;
+    EXPECT_EQ(v.newer.size(), head) << "head " << head;
+    std::vector<sim::TraceRecord> joined(v.older.begin(), v.older.end());
+    joined.insert(joined.end(), v.newer.begin(), v.newer.end());
+    ASSERT_EQ(joined.size(), snap.size());
+    for (std::size_t j = 0; j < kCap; ++j) {
+      EXPECT_EQ(joined[j].seq, snap[j].seq) << "head " << head;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
